@@ -15,7 +15,13 @@ import sys
 import numpy as np
 
 from . import __version__
-from .distributions import MixtureModel, mixture_ccdf, rank_frequency, RankModel
+from .distributions import (
+    MixtureModel,
+    RankModel,
+    _component_ccdf,
+    mixture_ccdf,
+    rank_frequency,
+)
 from .errors import (
     DegenerateDataError,
     DomainError,
@@ -39,6 +45,7 @@ from .ingest import (
 from .report import (
     SCHEMA_VERSION,
     build_report,
+    gof_to_dict,
     load_report,
     model_from_dict,
     model_to_dict,
@@ -155,11 +162,7 @@ def cmd_scan(args, max_order: int | None = None) -> int:
     write_report(out, report)
     _print_scan_table(scan)
     if gof_report is not None:
-        verdict = "rejected" if gof_report.rejected else "not rejected"
-        print(
-            f"chi2 {gof_report.chi2:.4f}  dof {gof_report.dof}  "
-            f"p {gof_report.p_value:.6g}  {verdict} at alpha={gof_report.alpha}"
-        )
+        _print_verdict(gof_report)
     else:
         print(f"gof unavailable: {gof_error}")
     print(f"report -> {out}")
@@ -170,33 +173,31 @@ def cmd_fit(args) -> int:
     return cmd_scan(args, max_order=args.m)
 
 
-def cmd_gof(args) -> int:
-    sample = _load_sample(args.counts)
-    report = load_report(args.report)
-    model = model_from_dict(report["components"])
-    n_params = args.n_params if args.n_params is not None else report["n_params"]
-    gof_report = chi_square_test(model, sample, n_params, args.alpha)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "input_digest": sample_digest(sample),
-        "gof": {
-            "chi2": gof_report.chi2,
-            "dof": gof_report.dof,
-            "p_value": gof_report.p_value,
-            "alpha": gof_report.alpha,
-            "rejected": gof_report.rejected,
-        },
-    }
-    text = json.dumps(payload, sort_keys=True, indent=2)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-        print(f"gof -> {args.out}")
+def _print_verdict(gof_report) -> None:
     verdict = "rejected" if gof_report.rejected else "not rejected"
     print(
         f"chi2 {gof_report.chi2:.4f}  dof {gof_report.dof}  "
         f"p {gof_report.p_value:.6g}  {verdict} at alpha={gof_report.alpha}"
     )
+
+
+def cmd_gof(args) -> int:
+    sample = _load_sample(args.counts)
+    report = load_report(args.report)
+    model = model_from_dict(report["components"])
+    n_params = args.n_params if args.n_params is not None else report.get("n_params")
+    if not isinstance(n_params, int):
+        raise InputFormatError("the report has no integer n_params; pass --n-params")
+    gof_report = chi_square_test(model, sample, n_params, args.alpha)
+    if args.out:
+        payload = {
+            "schema_version": SCHEMA_VERSION,
+            "input_digest": sample_digest(sample),
+            "gof": gof_to_dict(gof_report),
+        }
+        write_report(args.out, payload)
+        print(f"gof -> {args.out}")
+    _print_verdict(gof_report)
     return EXIT_OK
 
 
@@ -221,10 +222,7 @@ def cmd_ccdf(args) -> int:
     emp = empirical_ccdf(sample)
     ks = emp.ks()
     model_col = mixture_ccdf(model, ks)
-    comp_cols = [
-        comp.weight * np.exp(-comp.shape * np.log1p((ks - 1.0) / comp.scale))
-        for comp in model.components
-    ]
+    comp_cols = _component_ccdf(model._c, model._b, model._v, ks.astype(float))
     header = ["k", "empirical", "model"] + [
         f"component_{i + 1}" for i in range(model.order)
     ]

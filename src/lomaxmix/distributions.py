@@ -176,15 +176,6 @@ class MixtureModel:
         """Number of mixture components M."""
         return len(self.components)
 
-    def pmf(self, k):
-        return mixture_pmf(self, k)
-
-    def ccdf(self, k):
-        return mixture_ccdf(self, k)
-
-    def log_pmf(self, k):
-        return mixture_log_pmf(self, k)
-
 
 @dataclass(frozen=True)
 class GeometricState:
@@ -244,9 +235,10 @@ class GammaMixing:
         out = np.zeros_like(lam_arr)
         pos = lam_arr > 0.0
         lp = lam_arr[pos]
-        out[pos] = np.exp(
-            v * math.log(b) + (v - 1.0) * np.log(lp) - b * lp - math.lgamma(v)
-        )
+        with np.errstate(over="ignore"):  # overflow to inf is the right value
+            out[pos] = np.exp(
+                v * math.log(b) + (v - 1.0) * np.log(lp) - b * lp - math.lgamma(v)
+            )
         if np.any(~pos):
             if v < 1.0:
                 out[~pos] = np.inf
@@ -322,46 +314,71 @@ def _ret(value: np.ndarray, scalar: bool):
 
 
 # ---------------------------------------------------------------------------
-# array kernels (shared with the fitting objective, which calls them with
-# raw parameter arrays to avoid per-evaluation model construction)
+# the component kernel and its mixture reductions (the fitting objective calls
+# them with raw parameter arrays to avoid per-evaluation model construction)
 # ---------------------------------------------------------------------------
 
 
+def _component_terms(b, v, k: np.ndarray):
+    """(M, K) log-survival -v log1p((k - 1) / b) and step of each component.
+
+    Mass is exp(log-survival) * step, step = -expm1(v log1p(-1 / (k + b))).
+    Each operation writes into its operand: fresh (M, K) temporaries past
+    malloc's mmap threshold fault in page by page, which made a 14k-value
+    objective 1.5x slower.  In place rounds the same, bit for bit.
+    """
+    log_surv = (k - 1.0) / b[:, None]
+    np.log1p(log_surv, out=log_surv)
+    log_surv *= -v[:, None]
+    step = k + b[:, None]
+    np.divide(-1.0, step, out=step)
+    np.log1p(step, out=step)
+    step *= v[:, None]
+    np.expm1(step, out=step)
+    np.negative(step, out=step)
+    return log_surv, step
+
+
+def _component_ccdf(c, b, v, k: np.ndarray) -> np.ndarray:
+    """(M, K) weighted survival c (b / (b + k - 1))^v of each component."""
+    rows, _ = _component_terms(b, v, k)
+    np.exp(rows, out=rows)
+    rows *= c[:, None]
+    return rows
+
+
 def _mix_ccdf(c, b, v, k: np.ndarray) -> np.ndarray:
-    acc = None
-    for ci, bi, vi in zip(c, b, v):
-        t = np.exp(-vi * np.log1p((k - 1.0) / bi))
-        acc = ci * t if acc is None else acc + ci * t
-    return acc
+    # sum(axis=0) adds the rows in order, the same left fold as the scalar form
+    return _component_ccdf(c, b, v, k).sum(axis=0)
 
 
 def _mix_pmf(c, b, v, k: np.ndarray) -> np.ndarray:
-    acc = None
-    for ci, bi, vi in zip(c, b, v):
-        surv = np.exp(-vi * np.log1p((k - 1.0) / bi))
-        step = -np.expm1(vi * np.log1p(-1.0 / (k + bi)))
-        t = ci * (surv * step)
-        acc = t if acc is None else acc + t
-    return acc
+    mass, step = _component_terms(b, v, k)
+    np.exp(mass, out=mass)
+    mass *= step
+    mass *= c[:, None]
+    return mass.sum(axis=0)
 
 
 def _mix_log_pmf(c, b, v, k: np.ndarray) -> np.ndarray:
-    rows = []
-    for ci, bi, vi in zip(c, b, v):
-        if ci == 0.0:
-            continue
-        rows.append(
-            math.log(ci)
-            - vi * np.log1p((k - 1.0) / bi)
-            + np.log(-np.expm1(vi * np.log1p(-1.0 / (k + bi))))
-        )
-    if len(rows) == 1:
+    rows, step = _component_terms(b, v, k)
+    # math.log, not np.log: the two differ by an ulp on rare inputs, which
+    # would move the fit's simplex path; a zero weight gives a -inf row
+    rows += np.array([math.log(ci) if ci > 0.0 else -math.inf for ci in c])[:, None]
+    rows += np.log(step, out=step)
+    if rows.shape[0] == 1:  # half the cost of the log-sum-exp at M = 1
         return rows[0]
-    top = np.maximum.reduce(rows)
-    acc = np.exp(rows[0] - top)
-    for row in rows[1:]:
-        acc += np.exp(row - top)
-    return top + np.log(acc)
+    top = rows.max(axis=0)
+    rows -= top
+    return top + np.log(np.exp(rows, out=rows).sum(axis=0))
+
+
+def _mix_ccdf_scalar(model: MixtureModel, k: float) -> float:
+    """Survival at one k in ``math``, for binning's point-by-point search."""
+    acc = 0.0
+    for comp in model.components:
+        acc += comp.weight * math.exp(-comp.shape * math.log1p((k - 1.0) / comp.scale))
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -381,16 +398,21 @@ def geometric_pmf(state: GeometricState, s):
     return _ret(out, scalar)
 
 
+def _on_model(kernel, model: MixtureModel, k):
+    # the kernels take 1-d k; any other shape is flattened and restored
+    k_arr, scalar = _validate_counts(k)
+    value = kernel(model._c, model._b, model._v, k_arr.ravel())
+    return _ret(value.reshape(k_arr.shape), scalar)
+
+
 def mixture_pmf(model: MixtureModel, k):
     """Mixture mass at integer k >= 1; lies in (0, 1] before underflow."""
-    k_arr, scalar = _validate_counts(k)
-    return _ret(_mix_pmf(model._c, model._b, model._v, k_arr), scalar)
+    return _on_model(_mix_pmf, model, k)
 
 
 def mixture_ccdf(model: MixtureModel, k):
     """P(K >= k) = sum_i c_i (b_i / (b_i + k - 1))^v_i; exactly 1 at k = 1."""
-    k_arr, scalar = _validate_counts(k)
-    return _ret(_mix_ccdf(model._c, model._b, model._v, k_arr), scalar)
+    return _on_model(_mix_ccdf, model, k)
 
 
 def mixture_log_pmf(model: MixtureModel, k):
@@ -399,8 +421,7 @@ def mixture_log_pmf(model: MixtureModel, k):
     Stays finite and strictly decreasing for k up to 1e9 even where the
     linear-space mass underflows.
     """
-    k_arr, scalar = _validate_counts(k)
-    return _ret(_mix_log_pmf(model._c, model._b, model._v, k_arr), scalar)
+    return _on_model(_mix_log_pmf, model, k)
 
 
 def continuous_lomax_pdf(b: float, v: float, k):

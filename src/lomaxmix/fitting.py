@@ -48,6 +48,10 @@ __all__ = [
 
 _PENALTY = 1e15
 _LOG_JITTER = math.log(2.0)
+# Every start gets _COARSE_EVALS screening evaluations; the _REFINE_TOP best
+# of them are then polished to FitConfig.tol.
+_COARSE_EVALS = 2_000
+_REFINE_TOP = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,8 +118,8 @@ class CountSample:
 class FitConfig:
     """Knobs of the multi-start simplex search.
 
-    ``coarse_evals`` is the screening budget given to every start before
-    the ``refine_top`` best of them are polished to ``tol`` within
+    ``starts`` starts are drawn from ``seed``; the leaders of a short
+    screening pass are polished to relative tolerance ``tol`` within
     ``max_evals`` evaluations each.
     """
 
@@ -123,10 +127,6 @@ class FitConfig:
     seed: int = 0
     max_evals: int = 50_000
     tol: float = 1e-9
-    coarse_evals: int = 2_000
-    refine_top: int = 8
-    scale_bounds: tuple[float, float] = SCALE_BOUNDS
-    shape_bounds: tuple[float, float] = SHAPE_BOUNDS
 
 
 @dataclass(frozen=True)
@@ -251,9 +251,9 @@ def _unpack(theta: np.ndarray, order: int):
     return _weights_from_logits(logits, order), b, v
 
 
-def _make_objective(ks: np.ndarray, counts: np.ndarray, order: int, config: FitConfig):
-    b_lo, b_hi = config.scale_bounds
-    v_lo, v_hi = config.shape_bounds
+def _make_objective(ks: np.ndarray, counts: np.ndarray, order: int):
+    b_lo, b_hi = SCALE_BOUNDS
+    v_lo, v_hi = SHAPE_BOUNDS
 
     def nll(theta: np.ndarray) -> float:
         c, b, v = _unpack(theta, order)
@@ -267,7 +267,7 @@ def _make_objective(ks: np.ndarray, counts: np.ndarray, order: int, config: FitC
     return nll
 
 
-def _moment_start(ks: np.ndarray, counts: np.ndarray, order: int, config: FitConfig):
+def _moment_start(ks: np.ndarray, counts: np.ndarray, order: int):
     """Quantile-partition seed: one component per group of the empirical mass.
 
     Each group contributes weight = its mass fraction, scale = its mean
@@ -275,7 +275,7 @@ def _moment_start(ks: np.ndarray, counts: np.ndarray, order: int, config: FitCon
     """
     n = counts.sum()
     n_distinct = ks.size
-    b_lo, b_hi = config.scale_bounds
+    b_lo, b_hi = SCALE_BOUNDS
     if n_distinct >= order:
         cum = np.cumsum(counts)
         edges = [0]
@@ -326,9 +326,9 @@ def fit_mixture(data: CountSample, order: int, config: FitConfig = FitConfig()) 
         )
     ks = ks_i.astype(float)
     counts = counts_i.astype(float)
-    nll = _make_objective(ks, counts, order, config)
+    nll = _make_objective(ks, counts, order)
 
-    theta0 = _moment_start(ks, counts, order, config)
+    theta0 = _moment_start(ks, counts, order)
     rng = np.random.Generator(
         np.random.Philox(key=[config.seed % 2**64, order % 2**64])
     )
@@ -338,7 +338,7 @@ def fit_mixture(data: CountSample, order: int, config: FitConfig = FitConfig()) 
 
     # Screening pass: short simplex run per start, then polish the leaders.
     coarse = []
-    coarse_budget = min(config.coarse_evals, config.max_evals)
+    coarse_budget = min(_COARSE_EVALS, config.max_evals)
     for idx, theta in enumerate(starts):
         if len(starts) == 1 or coarse_budget >= config.max_evals:
             res = nelder_mead(nll, theta, tol=config.tol, max_evals=config.max_evals)
@@ -350,8 +350,7 @@ def fit_mixture(data: CountSample, order: int, config: FitConfig = FitConfig()) 
     coarse.sort(key=lambda t: (t[0], t[1]))
 
     best = None
-    n_polish = max(1, min(config.refine_top, len(coarse)))
-    for fun, idx, res in coarse[:n_polish]:
+    for fun, idx, res in coarse[:_REFINE_TOP]:
         if coarse_budget >= config.max_evals or len(starts) == 1:
             polished = res
         else:
@@ -379,8 +378,8 @@ def fit_mixture(data: CountSample, order: int, config: FitConfig = FitConfig()) 
         )
 
     c, b, v = _unpack(best.x, order)
-    b_lo, b_hi = config.scale_bounds
-    v_lo, v_hi = config.shape_bounds
+    b_lo, b_hi = SCALE_BOUNDS
+    v_lo, v_hi = SHAPE_BOUNDS
     model = MixtureModel.from_parameters(
         c / c.sum(), np.clip(b, b_lo, b_hi), np.clip(v, v_lo, v_hi)
     )

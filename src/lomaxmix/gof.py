@@ -10,12 +10,11 @@ correction dof = bins - 1 - n_params.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import MixtureModel
+from .distributions import MixtureModel, _mix_ccdf_scalar
 from .errors import DomainError, InsufficientResolutionError, ValidationError
 from .fitting import CountSample
 from .special import regularized_upper_incomplete_gamma
@@ -104,13 +103,6 @@ def chi_square_survival(chi2: float, dof: int) -> float:
     return regularized_upper_incomplete_gamma(dof / 2.0, chi2 / 2.0)
 
 
-def _survival_scalar(model: MixtureModel, k: float) -> float:
-    acc = 0.0
-    for comp in model.components:
-        acc += comp.weight * math.exp(-comp.shape * math.log1p((k - 1.0) / comp.scale))
-    return acc
-
-
 def _bin_edges(model: MixtureModel, n: float) -> list[int]:
     """Contiguous integer bin edges with expected count >= 5 per closed bin."""
     edges = [1]
@@ -121,23 +113,23 @@ def _bin_edges(model: MixtureModel, n: float) -> list[int]:
         # smallest such edge
         step = 1
         hi = lo + 1
-        mass = n * (surv_lo - _survival_scalar(model, hi))
+        mass = n * (surv_lo - _mix_ccdf_scalar(model, hi))
         while mass < _MIN_EXPECTED and hi < _K_CAP:
             step *= 2
             hi = lo + step
-            mass = n * (surv_lo - _survival_scalar(model, hi))
+            mass = n * (surv_lo - _mix_ccdf_scalar(model, hi))
         if mass < _MIN_EXPECTED:
             break
         low = lo + step // 2 if step > 1 else lo
         high = hi
         while high - low > 1:
             mid = (low + high) // 2
-            if n * (surv_lo - _survival_scalar(model, mid)) >= _MIN_EXPECTED:
+            if n * (surv_lo - _mix_ccdf_scalar(model, mid)) >= _MIN_EXPECTED:
                 high = mid
             else:
                 low = mid
         edges.append(high)
-        surv_lo = _survival_scalar(model, high)
+        surv_lo = _mix_ccdf_scalar(model, high)
     if len(edges) > 1 and n * surv_lo < _MIN_EXPECTED:
         edges.pop()  # merge a skinny tail into the last closed bin
     return edges
@@ -184,7 +176,7 @@ def chi_square_test(
         observed.append(int(cum[positions[i + 1]] - cum[positions[i]]))
     observed.append(int(n - cum[positions[-1]]))
 
-    survs = [_survival_scalar(model, float(e)) for e in edges]
+    survs = [_mix_ccdf_scalar(model, float(e)) for e in edges]
     expected = [float(n) * (survs[i] - survs[i + 1]) for i in range(len(edges) - 1)]
     expected.append(float(n) * survs[-1])
 

@@ -226,6 +226,8 @@ def _iter_lines(source):
                 return fh.readlines()
         except OSError as exc:
             raise InputFormatError(f"cannot read {source}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise InputFormatError(f"{source} is not UTF-8 text: {exc}") from exc
     return list(source)
 
 

@@ -15,7 +15,7 @@ import json
 from .distributions import MixtureModel
 from .errors import InputFormatError, ValidationError
 from .fitting import BaselineResult, CountSample, FitResult, ScanResult
-from .gof import GofBin, GofReport
+from .gof import GofReport
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -60,7 +60,7 @@ def model_from_dict(components: list[dict]) -> MixtureModel:
             [c["b"] for c in components],
             [c["v"] for c in components],
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputFormatError(f"malformed components in report: {exc}") from exc
 
 
@@ -83,23 +83,6 @@ def gof_to_dict(report: GofReport) -> dict:
             for b in report.bins
         ],
     }
-
-
-def gof_from_dict(payload: dict) -> GofReport:
-    bins = tuple(
-        GofBin(b["k_lo"], b["k_hi"], b["observed"], b["expected"])
-        for b in payload["bins"]
-    )
-    return GofReport(
-        chi2=payload["chi2"],
-        dof=payload["dof"],
-        p_value=payload["p_value"],
-        bins=bins,
-        alpha=payload["alpha"],
-        rejected=payload["rejected"],
-        n_params=payload["n_params"],
-        sample_size=payload["sample_size"],
-    )
 
 
 def baseline_to_dict(result: BaselineResult) -> dict:
@@ -170,15 +153,20 @@ def write_report(path, report: dict) -> None:
 
 
 def load_report(path) -> dict:
+    """Read a report; it must be a JSON object with a ``components`` list."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             report = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
         raise InputFormatError(f"cannot load report {path}: {exc}") from exc
+    if not isinstance(report, dict):
+        raise InputFormatError(f"report {path} is not a JSON object")
     if report.get("schema_version") != SCHEMA_VERSION:
         raise ValidationError(
             f"unsupported report schema {report.get('schema_version')!r}"
         )
+    if not isinstance(report.get("components"), list):
+        raise InputFormatError(f"report {path} has no components list")
     return report
 
 

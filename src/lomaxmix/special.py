@@ -1,4 +1,4 @@
-"""Scalar special functions: log-gamma, regularized incomplete gamma, zeta.
+"""Scalar special functions: regularized upper incomplete gamma, zeta.
 
 The incomplete gamma follows the classic series / continued-fraction split
 (series for x < a + 1, modified Lentz continued fraction otherwise).  The
@@ -14,8 +14,6 @@ import math
 from .errors import DomainError
 
 __all__ = [
-    "log_gamma",
-    "regularized_lower_incomplete_gamma",
     "regularized_upper_incomplete_gamma",
     "riemann_zeta",
 ]
@@ -33,13 +31,6 @@ _STIRLING = (
     -1.0 / 1680.0,
     1.0 / 1188.0,
 )
-
-
-def log_gamma(x: float) -> float:
-    """Natural log of the gamma function for x > 0."""
-    if not x > 0.0:
-        raise DomainError(f"log_gamma requires x > 0, got {x!r}")
-    return math.lgamma(x)
 
 
 def _stirling_remainder(a: float) -> float:
@@ -103,17 +94,6 @@ def _upper_continued_fraction(a: float, x: float) -> float:
     raise ArithmeticError(
         f"incomplete gamma continued fraction failed to converge at a={a}, x={x}"
     )
-
-
-def regularized_lower_incomplete_gamma(a: float, x: float) -> float:
-    """P(a, x) = gamma(a, x) / Gamma(a) for a > 0, x > 0."""
-    if not a > 0.0:
-        raise DomainError(f"incomplete gamma requires a > 0, got {a!r}")
-    if not x > 0.0:
-        raise DomainError(f"incomplete gamma requires x > 0, got {x!r}")
-    if x < a + 1.0:
-        return _lower_series(a, x)
-    return 1.0 - _upper_continued_fraction(a, x)
 
 
 def regularized_upper_incomplete_gamma(a: float, x: float) -> float:

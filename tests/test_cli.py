@@ -319,3 +319,52 @@ class TestSimulate:
 
     def test_requires_exactly_one_source(self, tmp_path):
         assert main(["simulate", "-n", "5", "--out", str(tmp_path / "x")]) == 2
+
+
+class TestMalformedInput:
+    def test_scan_non_utf8_counts_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.counts"
+        path.write_bytes(b"1\n2\n\xff\n3\n")
+        assert main(["scan", str(path), "--out", str(tmp_path / "r.json")]) == 2
+        assert "not UTF-8" in capsys.readouterr().err
+
+    def test_replies_non_utf8_log_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"0,a,b\n60,b,\xffa\n")
+        assert main(["replies", str(path)]) == 2
+        assert "not UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, defect",
+        [
+            (command, defect)
+            for command in ("gof", "ccdf", "rank", "simulate")
+            for defect in ("no_components", "array", "non_numeric")
+        ]
+        + [("gof", "no_n_params")],  # only gof reads n_params from the report
+    )
+    def test_malformed_report_exit_2(self, tmp_path, capsys, command, defect):
+        data = sample_mixture(unit_model(), 1000, seed=13)
+        counts = tmp_path / "m.counts"
+        save_counts(counts, data)
+        rep = tmp_path / "m.json"
+        write_exact_report(unit_model(), data, rep)
+        report = json.loads(rep.read_text())
+        if defect == "no_components":
+            del report["components"]
+        elif defect == "array":
+            report = [report]
+        elif defect == "non_numeric":
+            report["components"][0]["b"] = "two"
+        else:
+            del report["n_params"]
+        rep.write_text(json.dumps(report))
+        out = str(tmp_path / "out")
+        argv = {
+            "gof": ["gof", str(counts), str(rep)],
+            "ccdf": ["ccdf", str(counts), str(rep), "--out", out],
+            "rank": ["rank", str(rep), "-l", "10"],
+            "simulate": ["simulate", "--from-report", str(rep), "-n", "5", "--out", out],
+        }[command]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")

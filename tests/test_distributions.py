@@ -1,6 +1,7 @@
 """Closed-form probability functions: exact values, stability, invariants."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from lomaxmix import (
     rank_frequency,
     rank_of_size,
 )
+from lomaxmix.distributions import _mix_ccdf_scalar
 
 from conftest import random_mixture
 
@@ -125,6 +127,28 @@ class TestMixtureCcdf:
         np.testing.assert_allclose(
             mixture_ccdf(m, 3), 0.5 / 3.0 + 0.5 * 0.5, rtol=1e-14
         )
+
+    def test_scalar_form_matches_array_form(self):
+        """The scalar survival of gof binning is the quantity mixture_ccdf gives.
+
+        Exactly 1.0 at k = 1; elsewhere within the rounding of two libm
+        implementations of log1p and exp: exp turns an ulp of a component's
+        log-survival y into |y| ulp of its survival, so the bound sums
+        c (b / (b + k - 1))^v (1 + |y|) over the components.
+        """
+        rng = np.random.default_rng(17)
+        ks = np.unique(np.round(np.geomspace(1.0, 1e9, 400)))
+        eps = np.finfo(float).eps
+        for _ in range(200):
+            m = random_mixture(rng)
+            arr = mixture_ccdf(m, ks)
+            scal = np.array([_mix_ccdf_scalar(m, float(k)) for k in ks])
+            assert scal[0] == arr[0] == 1.0
+            tol = np.zeros_like(ks)
+            for comp in m.components:
+                y = comp.shape * np.log(comp.scale / (comp.scale + ks - 1.0))
+                tol += comp.weight * np.exp(y) * (1.0 + np.abs(y))
+            assert np.all(np.abs(scal - arr) <= 4.0 * eps * tol)
 
 
 class TestMixtureLogPmf:
@@ -375,3 +399,11 @@ class TestValidation:
         for bad in (-1e-300, -1.0, math.inf, -math.inf, math.nan):
             with pytest.raises(DomainError):
                 g.pdf(bad)
+
+    def test_gamma_mixing_infinite_density_without_warning(self):
+        # (v - 1) log(lam) = 737 overflows exp: the density is inf, silently
+        g = GammaMixing(shape=0.01, rate=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert g.pdf(np.array([5e-324, 1.0]))[0] == math.inf
+            assert g.pdf(5e-324) == math.inf
