@@ -30,7 +30,14 @@ from .errors import (
     InsufficientResolutionError,
     ValidationError,
 )
-from .fitting import FitConfig, fit_lognormal, fit_power_law, scan_orders
+from .fitting import (
+    FitConfig,
+    ScanResult,
+    fit_lognormal,
+    fit_mixture,
+    fit_power_law,
+    scan_orders,
+)
 from .gof import chi_square_test, empirical_ccdf
 from .ingest import (
     DEFAULT_DISCRETIZATION,
@@ -90,6 +97,7 @@ def cmd_replies(args) -> int:
     print(f"rows dropped     {log.dropped}")
     print(f"self messages    {sample.self_messages_dropped}")
     print(f"delays extracted {sample.delays.size}")
+    print(f"messages unanswered {sample.messages_unanswered}")
     print(f"reply rule       {sample.rule}")
     print(f"delays -> {out_delays}")
     print(f"counts -> {out_counts}")
@@ -117,10 +125,20 @@ def _print_scan_table(scan) -> None:
         print(f"{order:>3} failed: {msg}")
 
 
-def cmd_scan(args, max_order: int | None = None) -> int:
+def cmd_scan(args) -> int:
     sample = _load_sample(args.counts)
-    config = _fit_config(args)
-    scan = scan_orders(sample, max_order if max_order is not None else args.m_max, config)
+    scan = scan_orders(sample, args.m_max, _fit_config(args))
+    return _report_fits(args, sample, scan, m_max=args.m_max)
+
+
+def cmd_fit(args) -> int:
+    sample = _load_sample(args.counts)
+    fit = fit_mixture(sample, args.m, _fit_config(args))
+    return _report_fits(args, sample, ScanResult(fits=(fit,), best_index=0), m_max=args.m)
+
+
+def _report_fits(args, sample, scan: ScanResult, m_max: int) -> int:
+    """Test the selected fit, fit the baselines, write the report, print."""
     best = scan.best
 
     gof_report, gof_error = None, None
@@ -142,7 +160,7 @@ def cmd_scan(args, max_order: int | None = None) -> int:
         "seed": args.seed,
         "starts": args.starts,
         "max_evals": args.max_evals,
-        "m_max": max_order if max_order is not None else args.m_max,
+        "m_max": m_max,
         "alpha": args.alpha,
         "dt": getattr(args, "dt", None),
         "reply_rule": getattr(args, "rule", None),
@@ -167,10 +185,6 @@ def cmd_scan(args, max_order: int | None = None) -> int:
         print(f"gof unavailable: {gof_error}")
     print(f"report -> {out}")
     return EXIT_OK
-
-
-def cmd_fit(args) -> int:
-    return cmd_scan(args, max_order=args.m)
 
 
 def _print_verdict(gof_report) -> None:
@@ -344,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="report path (default <counts>.report.json)")
     p.set_defaults(func=cmd_scan)
 
-    p = sub.add_parser("fit", help="fit a single model order")
+    p = sub.add_parser("fit", help="fit exactly one model order")
     p.add_argument("counts", help="count file")
     p.add_argument("--m", type=int, required=True, help="number of components")
     _add_fit_flags(p)

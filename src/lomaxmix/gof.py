@@ -103,9 +103,11 @@ def chi_square_survival(chi2: float, dof: int) -> float:
     return regularized_upper_incomplete_gamma(dof / 2.0, chi2 / 2.0)
 
 
-def _bin_edges(model: MixtureModel, n: float) -> list[int]:
-    """Contiguous integer bin edges with expected count >= 5 per closed bin."""
+def _bin_edges(model: MixtureModel, n: float) -> tuple[list[int], list[float]]:
+    """Contiguous integer bin edges with expected count >= 5 per closed bin,
+    and the model survival at each edge."""
     edges = [1]
+    survs = [1.0]
     surv_lo = 1.0
     while n * surv_lo >= 2.0 * _MIN_EXPECTED:
         lo = edges[-1]
@@ -130,9 +132,11 @@ def _bin_edges(model: MixtureModel, n: float) -> list[int]:
                 low = mid
         edges.append(high)
         surv_lo = _mix_ccdf_scalar(model, high)
+        survs.append(surv_lo)
     if len(edges) > 1 and n * surv_lo < _MIN_EXPECTED:
         edges.pop()  # merge a skinny tail into the last closed bin
-    return edges
+        survs.pop()
+    return edges, survs
 
 
 def chi_square_test(
@@ -156,7 +160,7 @@ def chi_square_test(
     if n < _MIN_SAMPLE:
         raise ValidationError(f"need at least {_MIN_SAMPLE} observations, got {n}")
 
-    edges = _bin_edges(model, float(n))
+    edges, survs = _bin_edges(model, float(n))
     if len(edges) < _MIN_BINS:
         raise InsufficientResolutionError(
             f"only {len(edges)} bins of expected count >= {_MIN_EXPECTED}; "
@@ -176,7 +180,6 @@ def chi_square_test(
         observed.append(int(cum[positions[i + 1]] - cum[positions[i]]))
     observed.append(int(n - cum[positions[-1]]))
 
-    survs = [_mix_ccdf_scalar(model, float(e)) for e in edges]
     expected = [float(n) * (survs[i] - survs[i + 1]) for i in range(len(edges) - 1)]
     expected.append(float(n) * survs[-1])
 

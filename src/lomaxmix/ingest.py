@@ -17,8 +17,11 @@ continues.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,9 +47,11 @@ REPLY_RULES = ("first-response", "exclusive")
 DEFAULT_DISCRETIZATION = 60.0  # seconds per count unit
 
 
-@dataclass(frozen=True)
-class MessageEvent:
-    """A directed message: integer timestamp (seconds), sender, receiver."""
+class MessageEvent(NamedTuple):
+    """A directed message: integer timestamp (seconds), sender, receiver.
+
+    Events order as tuples, by (timestamp, sender, receiver).
+    """
 
     timestamp: int
     sender: str
@@ -104,11 +109,10 @@ def parse_message_log(
     header: bool = False,
 ) -> MessageLog:
     """Parse timestamp/sender/receiver rows from a path or line iterable."""
-    lines = _iter_lines(source)
     events: list[MessageEvent] = []
     errors: list[tuple[int, str]] = []
     rows = 0
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(_iter_lines(source), start=1):
         line = raw.rstrip("\n").rstrip("\r")
         if lineno == 1 and header:
             continue
@@ -127,7 +131,7 @@ def parse_message_log(
         if not parts[1] or not parts[2]:
             errors.append((lineno, "empty sender or receiver"))
             continue
-        events.append(MessageEvent(timestamp=ts, sender=parts[1], receiver=parts[2]))
+        events.append(MessageEvent(ts, parts[1], parts[2]))
     if rows == 0:
         raise InputFormatError("message log contains no rows")
     if not events:
@@ -155,38 +159,30 @@ def extract_reply_delays(
             self_dropped += 1
             continue
         usable.append(ev)
-    # sort key includes identities so ties are resolved independent of
-    # input row order
-    usable.sort(key=lambda e: (e.timestamp, e.sender, e.receiver))
-
-    by_pair: dict[tuple[str, str], list[int]] = {}
-    for ev in usable:
-        by_pair.setdefault((ev.sender, ev.receiver), []).append(ev.timestamp)
+    # the full-tuple order resolves timestamp ties by identity, so the
+    # result does not depend on input row order
+    usable.sort()
 
     delays: list[float] = []
     unanswered = 0
     if rule == "first-response":
-        for ev in usable:
-            reverse = by_pair.get((ev.receiver, ev.sender))
-            if reverse is None:
-                unanswered += 1
-                continue
-            i = _first_greater(reverse, ev.timestamp)
-            if i is None:
+        by_pair: dict[tuple[str, str], list[int]] = defaultdict(list)
+        for ts, sender, receiver in usable:
+            by_pair[sender, receiver].append(ts)
+        for ts, sender, receiver in usable:
+            reverse = by_pair.get((receiver, sender), ())
+            i = bisect_right(reverse, ts)
+            if i == len(reverse):
                 unanswered += 1
             else:
-                delays.append(float(reverse[i] - ev.timestamp))
+                delays.append(float(reverse[i] - ts))
     else:  # exclusive FIFO matching
-        pending: dict[tuple[str, str], list[int]] = {}
-        for ev in usable:
-            key_rev = (ev.receiver, ev.sender)
-            queue = pending.get(key_rev)
-            if queue:
-                t1 = queue[0]
-                if ev.timestamp > t1:
-                    queue.pop(0)
-                    delays.append(float(ev.timestamp - t1))
-            pending.setdefault((ev.sender, ev.receiver), []).append(ev.timestamp)
+        pending: dict[tuple[str, str], deque[int]] = defaultdict(deque)
+        for ts, sender, receiver in usable:
+            queue = pending.get((receiver, sender))
+            if queue and ts > queue[0]:
+                delays.append(float(ts - queue.popleft()))
+            pending[sender, receiver].append(ts)
         unanswered = sum(len(q) for q in pending.values())
     if not delays:
         raise DegenerateDataError("no reply delays could be extracted")
@@ -199,36 +195,24 @@ def extract_reply_delays(
     )
 
 
-def _first_greater(sorted_ts: list[int], t: int) -> int | None:
-    lo, hi = 0, len(sorted_ts)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if sorted_ts[mid] > t:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo if lo < len(sorted_ts) else None
-
-
 def discretize(sample: ReplyDelaySample) -> CountSample:
     """Map delays to counts k = max(1, ceil(delay / dt)); support starts at 1."""
-    dt = sample.discretization
-    if not dt > 0.0:
-        raise DomainError(f"discretization must be > 0, got {dt!r}")
-    k = np.maximum(1, np.ceil(sample.delays / dt)).astype(np.int64)
+    k = np.maximum(1, np.ceil(sample.delays / sample.discretization)).astype(np.int64)
     return CountSample(k)
 
 
 def _iter_lines(source):
-    if isinstance(source, (str, Path)):
-        try:
-            with open(source, "r", encoding="utf-8") as fh:
-                return fh.readlines()
-        except OSError as exc:
-            raise InputFormatError(f"cannot read {source}: {exc}") from exc
-        except UnicodeDecodeError as exc:
-            raise InputFormatError(f"{source} is not UTF-8 text: {exc}") from exc
-    return list(source)
+    """Yield the lines of a path, or of any other iterable, one at a time."""
+    if not isinstance(source, (str, Path)):
+        yield from source
+        return
+    try:
+        with open(source, "r", encoding="utf-8") as fh:
+            yield from fh
+    except OSError as exc:
+        raise InputFormatError(f"cannot read {source}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputFormatError(f"{source} is not UTF-8 text: {exc}") from exc
 
 
 def load_counts(source) -> CountLoadResult:
@@ -237,11 +221,10 @@ def load_counts(source) -> CountLoadResult:
     Zero, negative or non-integer counts are row errors (the support
     starts at k = 1); they are tallied with line numbers and skipped.
     """
-    lines = _iter_lines(source)
     values: list[int] = []
     errors: list[tuple[int, str]] = []
     rows = 0
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(_iter_lines(source), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -269,14 +252,12 @@ def load_counts(source) -> CountLoadResult:
 
 def save_counts(path, sample: CountSample) -> None:
     """Write one count per line (the bare-count file format)."""
+    values = sample.values
+    if sample.weights is not None:
+        values = np.repeat(values, sample.weights)
     with open(path, "w", encoding="utf-8") as fh:
-        if sample.weights is None:
-            for val in sample.values:
-                fh.write(f"{int(val)}\n")
-        else:
-            for val, w in zip(sample.values, sample.weights):
-                for _ in range(int(w)):
-                    fh.write(f"{int(val)}\n")
+        for val in values:
+            fh.write(f"{int(val)}\n")
 
 
 def write_delays(path, sample: ReplyDelaySample) -> None:

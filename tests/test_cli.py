@@ -51,7 +51,7 @@ def message_log(tmp_path):
 
 
 class TestReplies:
-    def test_fixture_counts(self, message_log, tmp_path):
+    def test_fixture_counts(self, message_log, tmp_path, capsys):
         counts = tmp_path / "c.txt"
         delays = tmp_path / "d.txt"
         code = main(
@@ -69,8 +69,9 @@ class TestReplies:
         assert code == 0
         assert sorted(counts.read_text().split()) == ["1", "2", "2"]
         assert sorted(float(x) for x in delays.read_text().split()) == [60.0, 70.0, 100.0]
+        assert "messages unanswered 3\n" in capsys.readouterr().out
 
-    def test_exclusive_rule(self, message_log, tmp_path):
+    def test_exclusive_rule(self, message_log, tmp_path, capsys):
         counts = tmp_path / "c.txt"
         code = main(
             [
@@ -86,6 +87,7 @@ class TestReplies:
         )
         assert code == 0
         assert sorted(counts.read_text().split()) == ["1", "2"]
+        assert "messages unanswered 4\n" in capsys.readouterr().out
 
     def test_empty_log_exits_2(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -184,6 +186,18 @@ class TestFitAndGof:
         report = load_report(out)
         assert report["M"] == 1
         assert len(report["scan"]) == 1
+
+    def test_fit_fits_only_the_given_order(self, tmp_path):
+        model = MixtureModel.from_parameters([0.7, 0.3], [2.0, 20.0], [1.2, 3.0])
+        counts = tmp_path / "two.counts"
+        save_counts(counts, sample_mixture(model, 5000, seed=3))
+        out = tmp_path / "fit.json"
+        code = main(["fit", str(counts), "--m", "2", "--starts", "4", "--out", str(out)])
+        assert code == 0
+        report = load_report(out)
+        assert report["M"] == 2
+        assert [row["M"] for row in report["scan"]] == [2]
+        assert report["delta_aic_runner_up"] is None
 
     def test_gof_subcommand(self, tmp_path, capsys):
         data = sample_mixture(unit_model(), 10**4, seed=4)
@@ -333,6 +347,19 @@ class TestMalformedInput:
         path.write_bytes(b"0,a,b\n60,b,\xffa\n")
         assert main(["replies", str(path)]) == 2
         assert "not UTF-8" in capsys.readouterr().err
+
+    # the bad byte lies past the first read buffer, so it is decoded only
+    # after many rows have been parsed
+    @pytest.mark.parametrize(
+        "command, rows",
+        [("scan", b"1\n" * 100_000), ("replies", b"0,a,b\n60,b,a\n" * 50_000)],
+    )
+    def test_non_utf8_after_many_rows_exit_2(self, tmp_path, capsys, command, rows):
+        path = tmp_path / "late.txt"
+        path.write_bytes(rows + b"\xff\n")
+        assert main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "not UTF-8" in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
         "command, defect",

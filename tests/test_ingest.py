@@ -52,18 +52,21 @@ class TestExtractReplyDelays:
         assert sorted(excl.delays) == [60.0, 100.0]
 
     def test_row_order_invariance(self):
+        # delays come out in (timestamp, sender, receiver) order of the
+        # asking message whatever the row order, and are written that way
         rng = np.random.default_rng(4)
         base = extract_reply_delays(SIX_MESSAGE_LOG)
+        assert base.delays.tolist() == [60.0, 100.0, 70.0]
         for _ in range(10):
             perm = list(SIX_MESSAGE_LOG)
             rng.shuffle(perm)
-            assert sorted(extract_reply_delays(perm).delays) == sorted(base.delays)
+            assert extract_reply_delays(perm).delays.tolist() == base.delays.tolist()
         excl_base = extract_reply_delays(SIX_MESSAGE_LOG, rule="exclusive")
         for _ in range(10):
             perm = list(SIX_MESSAGE_LOG)
             rng.shuffle(perm)
             got = extract_reply_delays(perm, rule="exclusive")
-            assert sorted(got.delays) == sorted(excl_base.delays)
+            assert got.delays.tolist() == excl_base.delays.tolist()
 
     def test_self_messages_dropped_with_counter(self):
         events = [
