@@ -9,7 +9,6 @@ degenerate result, 2 input or validation error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 import numpy as np
@@ -313,8 +312,7 @@ def cmd_simulate(args) -> int:
         "seed": args.seed,
         "output_digest": sample_digest(sample),
     }
-    with open(f"{args.out}.meta.json", "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(meta, sort_keys=True, indent=2) + "\n")
+    write_report(f"{args.out}.meta.json", meta)
     print(f"{args.n} draws -> {args.out}")
     print(f"metadata -> {args.out}.meta.json")
     return EXIT_OK
@@ -328,7 +326,12 @@ def cmd_simulate(args) -> int:
 def _add_fit_flags(p) -> None:
     p.add_argument("--starts", type=int, default=20, help="multi-start count")
     p.add_argument("--seed", type=int, default=0, help="random seed")
-    p.add_argument("--max-evals", type=int, default=50_000, help="evaluation cap per start")
+    p.add_argument(
+        "--max-evals", type=int, default=50_000,
+        help="evaluation cap per start; with --starts 1 or a cap of at most 2000, every "
+        "start runs to --tol, otherwise every start is screened for 2000 evaluations "
+        "and the 8 best are polished with the rest",
+    )
     p.add_argument("--tol", type=float, default=1e-9, help="relative convergence tolerance")
     p.add_argument("--alpha", type=float, default=0.001, help="gof significance level")
 

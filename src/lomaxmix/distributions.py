@@ -58,6 +58,13 @@ def _check_finite(name: str, x: float) -> float:
     return x
 
 
+def _positive(name: str, x: float) -> float:
+    x = _check_finite(name, x)
+    if not x > 0.0:
+        raise DomainError(f"{name} must be > 0, got {x!r}")
+    return x
+
+
 @dataclass(frozen=True)
 class LomaxComponent:
     """One mixture component: weight, scale ``b`` and shape ``v``.
@@ -188,10 +195,7 @@ class GeometricState:
     rate: float
 
     def __post_init__(self) -> None:
-        r = _check_finite("rate", self.rate)
-        if not r > 0.0:
-            raise DomainError(f"rate must be > 0, got {r!r}")
-        object.__setattr__(self, "rate", r)
+        object.__setattr__(self, "rate", _positive("rate", self.rate))
 
     def mean(self) -> float:
         return -1.0 / math.expm1(-self.rate)
@@ -205,14 +209,8 @@ class GammaMixing:
     rate: float
 
     def __post_init__(self) -> None:
-        v = _check_finite("shape", self.shape)
-        b = _check_finite("rate", self.rate)
-        if not v > 0.0:
-            raise DomainError(f"shape must be > 0, got {v!r}")
-        if not b > 0.0:
-            raise DomainError(f"rate must be > 0, got {b!r}")
-        object.__setattr__(self, "shape", v)
-        object.__setattr__(self, "rate", b)
+        object.__setattr__(self, "shape", _positive("shape", self.shape))
+        object.__setattr__(self, "rate", _positive("rate", self.rate))
 
     @property
     def mean(self) -> float:
@@ -273,17 +271,11 @@ class RankModel:
     population: int
 
     def __post_init__(self) -> None:
-        v = _check_finite("shape", self.shape)
-        b = _check_finite("scale", self.scale)
-        if not v > 0.0:
-            raise DomainError(f"shape must be > 0, got {v!r}")
-        if not b > 0.0:
-            raise DomainError(f"scale must be > 0, got {b!r}")
+        object.__setattr__(self, "shape", _positive("shape", self.shape))
+        object.__setattr__(self, "scale", _positive("scale", self.scale))
         l = int(self.population)
         if l < 1 or l != self.population:
             raise DomainError(f"population must be a positive integer, got {self.population!r}")
-        object.__setattr__(self, "shape", v)
-        object.__setattr__(self, "scale", b)
         object.__setattr__(self, "population", l)
 
 
@@ -426,12 +418,8 @@ def mixture_log_pmf(model: MixtureModel, k):
 
 def continuous_lomax_pdf(b: float, v: float, k):
     """Continuous Lomax density v b^v (k + b)^(-v-1) on k >= 0."""
-    b = _check_finite("b", b)
-    v = _check_finite("v", v)
-    if not b > 0.0:
-        raise DomainError(f"b must be > 0, got {b!r}")
-    if not v > 0.0:
-        raise DomainError(f"v must be > 0, got {v!r}")
+    b = _positive("b", b)
+    v = _positive("v", v)
     k_arr, scalar = _as_float_array(k, "k")
     if np.any(k_arr < 0.0):
         raise DomainError("k must be >= 0")
@@ -474,15 +462,9 @@ def lognormal_asymptote(b: float, v: float, m: float, k):
     overflows; for m -> infinity it converges to the continuous power
     form v b^v k^(-v-1).
     """
-    b = _check_finite("b", b)
-    v = _check_finite("v", v)
-    m = _check_finite("m", m)
-    if not b > 0.0:
-        raise DomainError(f"b must be > 0, got {b!r}")
-    if not v > 0.0:
-        raise DomainError(f"v must be > 0, got {v!r}")
-    if not m > 0.0:
-        raise DomainError(f"m must be > 0, got {m!r}")
+    b = _positive("b", b)
+    v = _positive("v", v)
+    m = _positive("m", m)
     k_arr, scalar = _as_float_array(k, "k")
     if np.any(k_arr < 1.0):
         raise DomainError("k must be >= 1")

@@ -48,8 +48,8 @@ __all__ = [
 
 _PENALTY = 1e15
 _LOG_JITTER = math.log(2.0)
-# Every start gets _COARSE_EVALS screening evaluations; the _REFINE_TOP best
-# of them are then polished to FitConfig.tol.
+# Outside the direct plan (see FitConfig), every start gets _COARSE_EVALS
+# screening evaluations and the _REFINE_TOP best are polished to tol.
 _COARSE_EVALS = 2_000
 _REFINE_TOP = 8
 
@@ -118,15 +118,26 @@ class CountSample:
 class FitConfig:
     """Knobs of the multi-start simplex search.
 
-    ``starts`` starts are drawn from ``seed``; the leaders of a short
-    screening pass are polished to relative tolerance ``tol`` within
-    ``max_evals`` evaluations each.
+    ``starts`` starts are drawn from ``seed``, and no start spends more than
+    ``max_evals`` objective evaluations.  With one start, or with
+    ``max_evals`` at most 2,000, every start runs to relative tolerance
+    ``tol``.  Otherwise every start is screened for 2,000 evaluations and
+    the 8 best are polished to ``tol`` with the remaining
+    ``max_evals - 2,000``.
     """
 
     starts: int = 20
     seed: int = 0
     max_evals: int = 50_000
     tol: float = 1e-9
+
+    def __post_init__(self) -> None:
+        if self.starts < 1:
+            raise DomainError(f"starts must be >= 1, got {self.starts!r}")
+        if self.max_evals < 1:
+            raise DomainError(f"max_evals must be >= 1, got {self.max_evals!r}")
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise DomainError(f"tol must be finite and > 0, got {self.tol!r}")
 
 
 @dataclass(frozen=True)
@@ -300,10 +311,6 @@ def _moment_start(ks: np.ndarray, counts: np.ndarray, order: int):
     return _pack(c, b, v)
 
 
-def _canonical_triplets(c: np.ndarray, b: np.ndarray, v: np.ndarray):
-    return tuple(sorted(zip(-c, v / b, b, v)))
-
-
 def fit_mixture(data: CountSample, order: int, config: FitConfig = FitConfig()) -> FitResult:
     """Maximum-likelihood fit of an ``order``-component mixture.
 
@@ -336,45 +343,30 @@ def fit_mixture(data: CountSample, order: int, config: FitConfig = FitConfig()) 
     for _ in range(config.starts - 1):
         starts.append(theta0 + rng.normal(0.0, _LOG_JITTER, theta0.size))
 
-    # Screening pass: short simplex run per start, then polish the leaders.
-    coarse = []
-    coarse_budget = min(_COARSE_EVALS, config.max_evals)
-    for idx, theta in enumerate(starts):
-        if len(starts) == 1 or coarse_budget >= config.max_evals:
-            res = nelder_mead(nll, theta, tol=config.tol, max_evals=config.max_evals)
-        else:
-            res = nelder_mead(
-                nll, theta, tol=max(config.tol, 1e-6), max_evals=coarse_budget
-            )
-        coarse.append((res.fun, idx, res))
-    coarse.sort(key=lambda t: (t[0], t[1]))
+    # Direct plan: every start runs to tol.  Otherwise every start is
+    # screened, then the leaders are polished within the rest of the cap.
+    direct = config.starts == 1 or config.max_evals <= _COARSE_EVALS
+    if direct:
+        tol, budget = config.tol, config.max_evals
+    else:
+        tol, budget = max(config.tol, 1e-6), _COARSE_EVALS
+    runs = [nelder_mead(nll, theta, tol=tol, max_evals=budget) for theta in starts]
+    if not direct:
+        # sorted() is stable, so the leaders are ordered by (fun, start index).
+        # A polish cannot end above its screening optimum: that is its first
+        # vertex, and Nelder-Mead never lets its best vertex get worse.
+        leaders = sorted(runs, key=lambda r: r.fun)[:_REFINE_TOP]
+        budget = config.max_evals - _COARSE_EVALS
+        runs = [
+            nelder_mead(nll, r.x, step=0.05, tol=config.tol, max_evals=budget)
+            for r in leaders
+        ]
+    best = min(runs, key=lambda r: r.fun)  # the first minimum in run order
 
-    best = None
-    for fun, idx, res in coarse[:_REFINE_TOP]:
-        if coarse_budget >= config.max_evals or len(starts) == 1:
-            polished = res
-        else:
-            polished = nelder_mead(
-                nll,
-                res.x,
-                step=0.05,
-                tol=config.tol,
-                max_evals=max(config.max_evals - coarse_budget, 1_000),
-            )
-            if polished.fun > res.fun:  # keep the better of the two passes
-                polished = res
-        if best is None or polished.fun < best.fun:
-            best = polished
-        elif polished.fun == best.fun:
-            c1, b1, v1 = _unpack(polished.x, order)
-            c0, b0, v0 = _unpack(best.x, order)
-            if _canonical_triplets(c1, b1, v1) < _canonical_triplets(c0, b0, v0):
-                best = polished
-
-    if best is None or not math.isfinite(best.fun) or best.fun >= _PENALTY / 2.0:
+    if best.fun >= _PENALTY / 2.0:
         raise FitError(
             f"no start produced a usable optimum for order {order} "
-            f"(best objective {best.fun if best else 'n/a'}, {config.starts} starts)"
+            f"(best objective {best.fun}, {config.starts} starts)"
         )
 
     c, b, v = _unpack(best.x, order)

@@ -37,7 +37,10 @@ _MAX_COUNT = np.iinfo(np.int64).max - 1
 
 
 def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=int(seed)))
+    seed = int(seed)
+    if not 0 <= seed < 2**128:
+        raise DomainError(f"seed must lie in [0, 2**128), got {seed!r}")
+    return np.random.Generator(np.random.Philox(key=seed))
 
 
 def _open_uniform(rng: np.random.Generator, size: int) -> np.ndarray:

@@ -336,6 +336,30 @@ class TestSimulate:
 
 
 class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--starts", "0"], "starts must be >= 1"),
+            (["--max-evals", "0"], "max_evals must be >= 1"),
+            (["--tol", "nan"], "tol must be finite and > 0"),
+        ],
+        ids=["starts-0", "max-evals-0", "tol-nan"],
+    )
+    def test_bad_fit_config_exit_2(self, tmp_path, capsys, flags, message):
+        counts = tmp_path / "c.counts"
+        save_counts(counts, sample_mixture(unit_model(), 1000, seed=13))
+        argv = ["scan", str(counts), "--m-max", "1", "--out", str(tmp_path / "r.json"), *flags]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+    def test_simulate_negative_seed_exit_2(self, tmp_path, capsys):
+        argv = ["simulate", "--model", "1:1:1", "-n", "5", "--seed", "-1",
+                "--out", str(tmp_path / "s.counts")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "seed must lie in" in err and "Traceback" not in err
+
     def test_scan_non_utf8_counts_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.counts"
         path.write_bytes(b"1\n2\n\xff\n3\n")

@@ -22,6 +22,7 @@ from lomaxmix import (
     sample_mixture,
     scan_orders,
 )
+from lomaxmix import fitting
 from lomaxmix.special import riemann_zeta
 
 
@@ -182,6 +183,63 @@ class TestFitMixture:
         cov = np.linalg.inv(-hess)
         se_c1 = math.sqrt(cov[0, 0])
         assert abs(p_hat[0] - 0.7) <= 3.0 * se_c1
+
+
+class TestFitConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [("starts", 0), ("starts", -3), ("max_evals", 0),
+         ("tol", -1.0), ("tol", 0.0), ("tol", math.nan), ("tol", math.inf)],
+    )
+    def test_rejects_nonsense(self, field, value):
+        with pytest.raises(DomainError, match=f"{field} must be"):
+            FitConfig(**{field: value})
+
+
+class TestSearchPlan:
+    """The simplex runs fit_mixture makes, with their budgets and tolerances."""
+
+    @pytest.fixture
+    def runs(self, monkeypatch):
+        real = fitting.nelder_mead
+        runs = []
+
+        def recorder(fn, x0, step=0.25, tol=1e-9, max_evals=50_000):
+            res = real(fn, x0, step=step, tol=tol, max_evals=max_evals)
+            runs.append({"x0": np.array(x0), "step": step, "tol": tol,
+                         "max_evals": max_evals, "res": res})
+            return res
+
+        monkeypatch.setattr(fitting, "nelder_mead", recorder)
+        return runs
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        return sample_mixture(TRUTH_2, 2000, seed=5)
+
+    def test_one_start_runs_directly(self, runs, data):
+        fit_mixture(data, 2, FitConfig(starts=1))
+        assert [(r["step"], r["tol"], r["max_evals"]) for r in runs] == [(0.25, 1e-9, 50_000)]
+
+    def test_small_cap_runs_every_start_directly(self, runs, data):
+        fit = fit_mixture(data, 2, FitConfig(starts=6, max_evals=1_500))
+        assert [(r["step"], r["tol"], r["max_evals"]) for r in runs] == [(0.25, 1e-9, 1_500)] * 6
+        best = min(runs, key=lambda r: r["res"].fun)
+        assert fit.converged == best["res"].converged
+
+    def test_large_cap_screens_then_polishes_within_the_cap(self, runs, data):
+        fit_mixture(data, 2, FitConfig(starts=10, max_evals=2_500))
+        screen, polish = runs[:10], runs[10:]
+        assert [(r["step"], r["tol"], r["max_evals"]) for r in screen] == [(0.25, 1e-6, 2_000)] * 10
+        assert [(r["step"], r["tol"], r["max_evals"]) for r in polish] == (
+            [(0.05, 1e-9, 500)] * fitting._REFINE_TOP
+        )
+        # the leaders are polished in (objective, start index) order, each from
+        # its screening optimum, and no polish ends above where it began
+        leaders = sorted(range(10), key=lambda i: (screen[i]["res"].fun, i))[: fitting._REFINE_TOP]
+        for i, run in zip(leaders, polish):
+            assert np.array_equal(run["x0"], screen[i]["res"].x)
+            assert run["res"].fun <= screen[i]["res"].fun
 
 
 class TestScanOrders:

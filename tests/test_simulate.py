@@ -8,6 +8,7 @@ from scipy import stats
 
 from lomaxmix import (
     CompetingObservablesConfig,
+    DomainError,
     GeometricState,
     MixtureModel,
     ValidationError,
@@ -119,6 +120,14 @@ class TestMixtureSampler:
             sample_mixture(model, 0, seed=1)
         with pytest.raises(ValidationError):
             sample_mixture("not a model", 10, seed=1)
+
+    @pytest.mark.parametrize("seed", [-1, 2**128], ids=["-1", "2**128"])
+    def test_seed_outside_philox_key_range(self, seed):
+        with pytest.raises(DomainError, match="seed must lie in"):
+            sample_mixture(single(1.0, 1.0), 10, seed=seed)
+
+    def test_largest_seed_accepted(self):
+        assert sample_mixture(single(1.0, 1.0), 10, seed=2**128 - 1).size == 10
 
 
 class TestCompetingObservables:
