@@ -2,24 +2,18 @@
 
 Fit mixture models to count data by maximum likelihood, select the model
 order by AIC, test goodness of fit with Pearson's chi-square, compare
-against power-law and lognormal baselines, and generate synthetic data
-from the gamma-mixed geometric mechanism the model is built on.
+against power-law and lognormal baselines, and draw synthetic counts
+from a fitted model.
 """
 
 from .distributions import (
-    GammaMixing,
-    GeometricState,
     LomaxComponent,
     MixtureModel,
     RankModel,
-    continuous_lomax_pdf,
-    geometric_pmf,
-    lognormal_asymptote,
     mixture_ccdf,
     mixture_log_pmf,
     mixture_pmf,
     rank_frequency,
-    rank_of_size,
 )
 from .errors import (
     DegenerateDataError,
@@ -44,7 +38,7 @@ from .fitting import (
     n_params_for_order,
     scan_orders,
 )
-from .gof import EmpiricalCcdf, GofBin, GofReport, chi_square_test, empirical_ccdf
+from .gof import GofBin, GofReport, chi_square_test, empirical_ccdf
 from .ingest import (
     MessageEvent,
     ReplyDelaySample,
@@ -54,13 +48,7 @@ from .ingest import (
     parse_message_log,
     save_counts,
 )
-from .simulate import (
-    CompetingObservablesConfig,
-    CompetingObservablesResult,
-    sample_geometric_state,
-    sample_mixture,
-    simulate_competing_observables,
-)
+from .simulate import sample_mixture
 
 __version__ = "0.1.0"
 
@@ -69,17 +57,11 @@ __all__ = [
     # distributions
     "LomaxComponent",
     "MixtureModel",
-    "GeometricState",
-    "GammaMixing",
     "RankModel",
-    "geometric_pmf",
     "mixture_pmf",
     "mixture_ccdf",
     "mixture_log_pmf",
-    "continuous_lomax_pdf",
-    "rank_of_size",
     "rank_frequency",
-    "lognormal_asymptote",
     # fitting
     "CountSample",
     "FitConfig",
@@ -96,7 +78,6 @@ __all__ = [
     # gof
     "GofReport",
     "GofBin",
-    "EmpiricalCcdf",
     "empirical_ccdf",
     "chi_square_test",
     # ingest
@@ -108,11 +89,7 @@ __all__ = [
     "load_counts",
     "save_counts",
     # simulate
-    "CompetingObservablesConfig",
-    "CompetingObservablesResult",
     "sample_mixture",
-    "sample_geometric_state",
-    "simulate_competing_observables",
     # errors
     "LomaxMixError",
     "DomainError",

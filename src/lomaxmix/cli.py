@@ -3,7 +3,7 @@
 Subcommands: replies, scan, fit, gof, ccdf, rank, simulate.  Every
 command is deterministic given its flags and seed; all machine-readable
 output is UTF-8 JSON or TSV.  Exit codes: 0 success, 1 empty or
-degenerate result, 2 input or validation error.
+degenerate result, 2 input, output or validation error.
 """
 
 from __future__ import annotations
@@ -64,7 +64,8 @@ EXIT_OK = 0
 EXIT_EMPTY = 1
 EXIT_INPUT = 2
 
-_INPUT_ERRORS = (InputFormatError, ValidationError, DomainError)
+# OSError: an output path that cannot be written (inputs map their own)
+_INPUT_ERRORS = (InputFormatError, ValidationError, DomainError, OSError)
 _EMPTY_ERRORS = (DegenerateDataError, FitError, InsufficientResolutionError)
 
 
@@ -232,15 +233,13 @@ def cmd_ccdf(args) -> int:
     if bad is not None:
         return bad
     model = model_from_dict(report["components"])
-    emp = empirical_ccdf(sample)
-    ks = emp.ks()
+    ks, fracs = empirical_ccdf(sample)
     model_col = mixture_ccdf(model, ks)
     comp_cols = _component_ccdf(model._c, model._b, model._v, ks.astype(float))
     header = ["k", "empirical", "model"] + [
         f"component_{i + 1}" for i in range(model.order)
     ]
     lines = ["\t".join(header)]
-    fracs = emp.fractions()
     for j, k in enumerate(ks):
         row = [str(int(k)), repr(float(fracs[j])), repr(float(model_col[j]))]
         row += [repr(float(col[j])) for col in comp_cols]

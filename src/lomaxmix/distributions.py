@@ -7,9 +7,7 @@ A discrete Lomax component with scale ``b`` and shape ``v`` puts mass
 on the positive integers; it arises as a gamma mixture of geometric
 distributions and has survival function ``(b / (b + k - 1))^v``.  A
 mixture model is a convex combination of such components.  The module
-also provides the maximum-entropy geometric law the mixture is built
-from, the continuous Lomax density, the rank-frequency law it induces,
-and a lognormal asymptotic form of the heavy tail.
+also provides the rank-frequency law a component induces.
 
 All evaluation is done in cancellation-free form: the mixture PMF is
 computed as ``survival * (-expm1(v * log1p(-1 / (k + b))))`` rather
@@ -31,17 +29,11 @@ __all__ = [
     "SHAPE_BOUNDS",
     "LomaxComponent",
     "MixtureModel",
-    "GeometricState",
-    "GammaMixing",
     "RankModel",
-    "geometric_pmf",
     "mixture_pmf",
     "mixture_ccdf",
     "mixture_log_pmf",
-    "continuous_lomax_pdf",
-    "rank_of_size",
     "rank_frequency",
-    "lognormal_asymptote",
 ]
 
 # Outside these bounds the closed forms underflow or overflow in float64.
@@ -185,84 +177,6 @@ class MixtureModel:
 
 
 @dataclass(frozen=True)
-class GeometricState:
-    """Geometric occurrence law of a single state with rate ``rate``.
-
-    P(S = s) = (e^rate - 1) e^(-s*rate) on s = 1, 2, ...; the mass sums
-    to one and the mean is e^rate / (e^rate - 1).
-    """
-
-    rate: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rate", _positive("rate", self.rate))
-
-    def mean(self) -> float:
-        return -1.0 / math.expm1(-self.rate)
-
-
-@dataclass(frozen=True)
-class GammaMixing:
-    """Gamma density of the hidden rate: shape ``v``, rate ``b``, mean v/b."""
-
-    shape: float
-    rate: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "shape", _positive("shape", self.shape))
-        object.__setattr__(self, "rate", _positive("rate", self.rate))
-
-    @property
-    def mean(self) -> float:
-        return self.shape / self.rate
-
-    def pdf(self, lam):
-        """Density b^v lam^(v-1) e^(-b lam) / Gamma(v) for lam >= 0.
-
-        A Python int or float (numpy's float64 included) takes a scalar path
-        built on ``math``, for quadrature integrands that call it one point
-        at a time; it evaluates the same formula and agrees with the array
-        path to an ulp.
-        """
-        if isinstance(lam, (int, float)):
-            return self._pdf_scalar(float(lam))
-        lam_arr, scalar = _as_float_array(lam, "lam")
-        if np.any(lam_arr < 0.0):
-            raise DomainError("gamma density requires lam >= 0")
-        v, b = self.shape, self.rate
-        out = np.zeros_like(lam_arr)
-        pos = lam_arr > 0.0
-        lp = lam_arr[pos]
-        with np.errstate(over="ignore"):  # overflow to inf is the right value
-            out[pos] = np.exp(
-                v * math.log(b) + (v - 1.0) * np.log(lp) - b * lp - math.lgamma(v)
-            )
-        if np.any(~pos):
-            if v < 1.0:
-                out[~pos] = np.inf
-            elif v == 1.0:
-                out[~pos] = b
-        return float(out[()]) if scalar else out
-
-    def _pdf_scalar(self, lam: float) -> float:
-        if not math.isfinite(lam):
-            raise DomainError("lam must be finite")
-        if lam < 0.0:
-            raise DomainError("gamma density requires lam >= 0")
-        v, b = self.shape, self.rate
-        if lam == 0.0:
-            return math.inf if v < 1.0 else (b if v == 1.0 else 0.0)
-        # log(lam) comes from numpy: math.log differs from numpy's vectorised
-        # log by an ulp on rare inputs, and (v - 1) * log(lam) inside the
-        # exponent would carry that into tens of ulp of the density.
-        x = v * math.log(b) + (v - 1.0) * float(np.log(lam)) - b * lam - math.lgamma(v)
-        try:
-            return math.exp(x)
-        except OverflowError:  # np.exp gives inf here
-            return math.inf
-
-
-@dataclass(frozen=True)
 class RankModel:
     """Rank-size law induced by a continuous Lomax tail over ``population`` units."""
 
@@ -277,13 +191,6 @@ class RankModel:
         if l < 1 or l != self.population:
             raise DomainError(f"population must be a positive integer, got {self.population!r}")
         object.__setattr__(self, "population", l)
-
-
-def _as_float_array(x, name: str):
-    arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise DomainError(f"{name} must be finite")
-    return arr, arr.ndim == 0
 
 
 def _validate_counts(k, name: str = "k"):
@@ -378,18 +285,6 @@ def _mix_ccdf_scalar(model: MixtureModel, k: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def geometric_pmf(state: GeometricState, s):
-    """Mass of the geometric occurrence law at integer s >= 1.
-
-    Evaluated as ``(1 - e^-rate) e^(-(s - 1) rate)``, which is the same
-    normalized law written overflow-free for large rates.
-    """
-    s_arr, scalar = _validate_counts(s, "s")
-    lam = state.rate
-    out = -math.expm1(-lam) * np.exp(-(s_arr - 1.0) * lam)
-    return _ret(out, scalar)
-
-
 def _on_model(kernel, model: MixtureModel, k):
     # the kernels take 1-d k; any other shape is flattened and restored
     k_arr, scalar = _validate_counts(k)
@@ -416,26 +311,6 @@ def mixture_log_pmf(model: MixtureModel, k):
     return _on_model(_mix_log_pmf, model, k)
 
 
-def continuous_lomax_pdf(b: float, v: float, k):
-    """Continuous Lomax density v b^v (k + b)^(-v-1) on k >= 0."""
-    b = _positive("b", b)
-    v = _positive("v", v)
-    k_arr, scalar = _as_float_array(k, "k")
-    if np.any(k_arr < 0.0):
-        raise DomainError("k must be >= 0")
-    out = np.exp(math.log(v) + v * math.log(b) - (v + 1.0) * np.log(k_arr + b))
-    return _ret(out, scalar)
-
-
-def rank_of_size(rm: RankModel, x):
-    """Expected rank of a unit of size x: l b^v (b + x)^-v, decreasing in x."""
-    x_arr, scalar = _as_float_array(x, "x")
-    if np.any(x_arr < 0.0):
-        raise DomainError("x must be >= 0")
-    out = rm.population * np.exp(-rm.shape * np.log1p(x_arr / rm.scale))
-    return _ret(out, scalar)
-
-
 def rank_frequency(rm: RankModel, r):
     """Relative frequency of the r-th ranked unit, r in [1, population].
 
@@ -451,28 +326,4 @@ def rank_frequency(rm: RankModel, r):
         np.log(rm.population / r_arr) / rm.shape
     )
     out = np.maximum(out, 0.0)
-    return _ret(out, scalar)
-
-
-def lognormal_asymptote(b: float, v: float, m: float, k):
-    """Lognormal-form tail density (v b^v e^(vm/2) / k) e^(-(ln k + m)^2 v / (2m)).
-
-    Evaluated through the algebraically identical form
-    ``v b^v k^(-v-1) exp(-v (ln k)^2 / (2m))`` so that e^(vm/2) never
-    overflows; for m -> infinity it converges to the continuous power
-    form v b^v k^(-v-1).
-    """
-    b = _positive("b", b)
-    v = _positive("v", v)
-    m = _positive("m", m)
-    k_arr, scalar = _as_float_array(k, "k")
-    if np.any(k_arr < 1.0):
-        raise DomainError("k must be >= 1")
-    log_k = np.log(k_arr)
-    out = np.exp(
-        math.log(v)
-        + v * math.log(b)
-        - (v + 1.0) * log_k
-        - v * log_k**2 / (2.0 * m)
-    )
     return _ret(out, scalar)

@@ -21,6 +21,7 @@ from .distributions import (
     SHAPE_BOUNDS,
     MixtureModel,
     _mix_log_pmf,
+    mixture_log_pmf,
 )
 from .errors import (
     DegenerateDataError,
@@ -212,8 +213,7 @@ def aic(log_likelihood: float, n_params: int) -> float:
 def log_likelihood(model: MixtureModel, data: CountSample) -> float:
     """Sum of log mixture mass over the sample, via the distinct-value form."""
     ks, counts = data.distinct()
-    lp = _mix_log_pmf(model._c, model._b, model._v, ks.astype(float))
-    return float(np.dot(counts.astype(float), lp))
+    return float(np.dot(counts.astype(float), mixture_log_pmf(model, ks)))
 
 
 # ---------------------------------------------------------------------------
@@ -336,9 +336,8 @@ def fit_mixture(data: CountSample, order: int, config: FitConfig = FitConfig()) 
     nll = _make_objective(ks, counts, order)
 
     theta0 = _moment_start(ks, counts, order)
-    rng = np.random.Generator(
-        np.random.Philox(key=[config.seed % 2**64, order % 2**64])
-    )
+    key = np.array([config.seed % 2**64, order], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key))
     starts = [theta0]
     for _ in range(config.starts - 1):
         starts.append(theta0 + rng.normal(0.0, _LOG_JITTER, theta0.size))

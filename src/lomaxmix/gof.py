@@ -22,7 +22,6 @@ from .special import regularized_upper_incomplete_gamma
 __all__ = [
     "GofBin",
     "GofReport",
-    "EmpiricalCcdf",
     "empirical_ccdf",
     "chi_square_statistic",
     "chi_square_survival",
@@ -59,26 +58,11 @@ class GofReport:
     sample_size: int
 
 
-@dataclass(frozen=True)
-class EmpiricalCcdf:
-    """Fraction of the sample at or above each distinct observed value."""
-
-    points: tuple[tuple[int, float], ...]
-
-    def ks(self) -> np.ndarray:
-        return np.array([k for k, _ in self.points], dtype=np.int64)
-
-    def fractions(self) -> np.ndarray:
-        return np.array([f for _, f in self.points])
-
-
-def empirical_ccdf(data: CountSample) -> EmpiricalCcdf:
-    """Exact sample fractions P_hat(K >= k) at every distinct observed k."""
+def empirical_ccdf(data: CountSample) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct observed values k and the sample fractions P_hat(K >= k)."""
     ks, counts = data.distinct()
-    n = counts.sum()
     tail = np.cumsum(counts[::-1])[::-1]
-    points = tuple((int(k), float(t) / float(n)) for k, t in zip(ks, tail))
-    return EmpiricalCcdf(points=points)
+    return ks, tail / counts.sum()
 
 
 def chi_square_statistic(observed, expected) -> float:

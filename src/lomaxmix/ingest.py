@@ -46,6 +46,8 @@ REPLY_RULES = ("first-response", "exclusive")
 
 DEFAULT_DISCRETIZATION = 60.0  # seconds per count unit
 
+_MAX_COUNT = np.iinfo(np.int64).max  # counts are held as int64
+
 
 class MessageEvent(NamedTuple):
     """A directed message: integer timestamp (seconds), sender, receiver.
@@ -109,6 +111,8 @@ def parse_message_log(
     header: bool = False,
 ) -> MessageLog:
     """Parse timestamp/sender/receiver rows from a path or line iterable."""
+    if not delimiter:
+        raise DomainError("delimiter must not be empty")
     events: list[MessageEvent] = []
     errors: list[tuple[int, str]] = []
     rows = 0
@@ -237,6 +241,9 @@ def load_counts(source) -> CountLoadResult:
             continue
         if count < 1:
             errors.append((lineno, f"count must be >= 1, got {count}"))
+            continue
+        if count > _MAX_COUNT:
+            errors.append((lineno, f"count {count} exceeds {_MAX_COUNT}"))
             continue
         values.append(count)
     if rows == 0:

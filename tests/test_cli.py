@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: outputs, determinism, exit codes."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -199,6 +200,23 @@ class TestFitAndGof:
         assert [row["M"] for row in report["scan"]] == [2]
         assert report["delta_aic_runner_up"] is None
 
+    def test_negative_seeds_get_their_own_streams(self, tmp_path):
+        # an evaluation cap this small leaves the fit at whichever start
+        # stream's best point, so different streams give different fits
+        model = MixtureModel.from_parameters([0.7, 0.3], [2.0, 20.0], [1.2, 3.0])
+        counts = tmp_path / "two.counts"
+        save_counts(counts, sample_mixture(model, 2000, seed=0))
+        fitted = []
+        for seed in ("-1", "-2"):
+            out = tmp_path / f"fit{seed}.json"
+            argv = ["fit", str(counts), "--m", "2", "--starts", "4", "--max-evals", "100",
+                    "--seed", seed, "--out", str(out)]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(argv) == 0
+            fitted.append(load_report(out)["components"])
+        assert fitted[0] != fitted[1]
+
     def test_gof_subcommand(self, tmp_path, capsys):
         data = sample_mixture(unit_model(), 10**4, seed=4)
         counts = tmp_path / "h.counts"
@@ -359,6 +377,39 @@ class TestMalformedInput:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "seed must lie in" in err and "Traceback" not in err
+
+    def test_replies_empty_delimiter_exit_2(self, message_log, capsys):
+        assert main(["replies", str(message_log), "--delimiter", ""]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "delimiter" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "writer",
+        ["scan", "fit", "gof", "ccdf", "rank", "simulate", "replies-delays", "replies-counts"],
+    )
+    def test_unwritable_output_exit_2(self, tmp_path, message_log, capsys, writer):
+        data = sample_mixture(unit_model(), 1000, seed=13)
+        counts = tmp_path / "w.counts"
+        save_counts(counts, data)
+        rep = tmp_path / "w.json"
+        write_exact_report(unit_model(), data, rep)
+        bad = str(tmp_path / "missing" / "out")
+        fit_flags = ["--starts", "1", "--out", bad]
+        argv = {
+            "scan": ["scan", str(counts), "--m-max", "1", *fit_flags],
+            "fit": ["fit", str(counts), "--m", "1", *fit_flags],
+            "gof": ["gof", str(counts), str(rep), "--out", bad],
+            "ccdf": ["ccdf", str(counts), str(rep), "--out", bad],
+            "rank": ["rank", str(rep), "-l", "10", "--out", bad],
+            "simulate": ["simulate", "--model", "1:1:1", "-n", "5", "--out", bad],
+            "replies-delays": ["replies", str(message_log), "--out-delays", bad,
+                               "--out-counts", str(tmp_path / "c")],
+            "replies-counts": ["replies", str(message_log), "--out-delays", str(tmp_path / "d"),
+                               "--out-counts", bad],
+        }[writer]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and bad in err and "Traceback" not in err
 
     def test_scan_non_utf8_counts_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.counts"

@@ -1,7 +1,6 @@
 """Closed-form probability functions: exact values, stability, invariants."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -9,24 +8,19 @@ from scipy.integrate import quad
 
 from lomaxmix import (
     DomainError,
-    GammaMixing,
-    GeometricState,
     LomaxComponent,
     MixtureModel,
     RankModel,
     ValidationError,
-    continuous_lomax_pdf,
-    geometric_pmf,
-    lognormal_asymptote,
     mixture_ccdf,
     mixture_log_pmf,
     mixture_pmf,
     rank_frequency,
-    rank_of_size,
 )
 from lomaxmix.distributions import _mix_ccdf_scalar
 
 from conftest import random_mixture
+from mechanism import gamma_pdf, lognormal_asymptote
 
 
 def single(b, v):
@@ -41,10 +35,8 @@ def mixed_geometric_mass(b, v, k):
     and run at tight relative tolerance so tiny tail masses keep relative
     accuracy.
     """
-    g = GammaMixing(shape=v, rate=b)
-
     def integrand(lam):
-        return g.pdf(lam) * (-math.expm1(-lam)) * math.exp(-(k - 1.0) * lam)
+        return gamma_pdf(lam, v, b) * (-math.expm1(-lam)) * math.exp(-(k - 1.0) * lam)
 
     peak = max(v / (b + k - 1.0), 1e-300)
     total = 0.0
@@ -54,34 +46,6 @@ def mixed_geometric_mass(b, v, k):
         total += part
     part, _ = quad(integrand, edges[-1], np.inf, limit=400, epsabs=0.0, epsrel=1e-11)
     return total + part
-
-
-class TestGeometric:
-    def test_half_rate_log2(self):
-        st = GeometricState(rate=math.log(2.0))
-        assert geometric_pmf(st, 1) == 0.5
-
-    def test_mass_sums_to_one(self):
-        st = GeometricState(rate=math.log(2.0))
-        total = geometric_pmf(st, np.arange(1, 41)).sum()
-        assert total > 1.0 - 1e-9
-
-    def test_mean_formula(self):
-        # e^lam / (e^lam - 1) at lam = 0.01
-        st = GeometricState(rate=0.01)
-        np.testing.assert_allclose(st.mean(), 100.50083333194443, rtol=1e-12)
-
-    def test_large_rate_no_overflow(self):
-        st = GeometricState(rate=800.0)
-        assert geometric_pmf(st, 1) == 1.0
-        assert geometric_pmf(st, 2) == 0.0
-
-    def test_domain(self):
-        st = GeometricState(rate=1.0)
-        with pytest.raises(DomainError):
-            geometric_pmf(st, 0)
-        with pytest.raises(DomainError):
-            GeometricState(rate=0.0)
 
 
 class TestMixturePmf:
@@ -177,36 +141,7 @@ class TestMixtureLogPmf:
         assert np.all(np.diff(lp) < 0.0)
 
 
-class TestContinuousLomax:
-    def test_at_origin(self):
-        assert continuous_lomax_pdf(1.0, 1.0, 0.0) == 1.0
-
-    def test_point_value(self):
-        np.testing.assert_allclose(continuous_lomax_pdf(2.0, 3.0, 2.0), 0.09375, rtol=1e-14)
-
-    def test_integrates_to_one(self):
-        for b, v in ((1.0, 1.0), (0.3, 2.5), (20.0, 0.7)):
-            total, err = quad(lambda k: continuous_lomax_pdf(b, v, k), 0.0, np.inf, limit=300)
-            np.testing.assert_allclose(total, 1.0, atol=1e-8)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            continuous_lomax_pdf(1.0, 1.0, -0.5)
-
-
 class TestRankLaws:
-    def test_rank_at_zero_is_population(self):
-        rm = RankModel(shape=2.0, scale=1.5, population=777)
-        assert rank_of_size(rm, 0.0) == 777.0
-
-    def test_rank_values(self):
-        np.testing.assert_allclose(
-            rank_of_size(RankModel(shape=1.0, scale=2.0, population=100), 2.0), 50.0
-        )
-        np.testing.assert_allclose(
-            rank_of_size(RankModel(shape=2.0, scale=1.0, population=1000), 9.0), 10.0
-        )
-
     def test_frequency_values(self):
         rm = RankModel(shape=1.0, scale=2.0, population=100)
         np.testing.assert_allclose(rank_frequency(rm, 4), 0.48, rtol=1e-12)
@@ -214,10 +149,12 @@ class TestRankLaws:
 
     def test_round_trip_with_rank_of_size(self):
         # f_r is the (population-normalized) inverse of the rank law
+        # rank(x) = l (b / (b + x))^v
         rm = RankModel(shape=1.0, scale=2.0, population=100)
         for r in (1, 5, 50):
             size = rank_frequency(rm, r) * rm.population
-            np.testing.assert_allclose(rank_of_size(rm, size), r, rtol=1e-10)
+            rank = rm.population * (rm.scale / (rm.scale + size)) ** rm.shape
+            np.testing.assert_allclose(rank, r, rtol=1e-10)
 
     def test_monotone_nonincreasing(self):
         rm = RankModel(shape=0.8, scale=3.0, population=500)
@@ -231,8 +168,6 @@ class TestRankLaws:
             rank_frequency(rm, 0)
         with pytest.raises(DomainError):
             rank_frequency(rm, 11)
-        with pytest.raises(DomainError):
-            rank_of_size(rm, -1.0)
 
 
 class TestLognormalAsymptote:
@@ -248,16 +183,10 @@ class TestLognormalAsymptote:
     def test_correction_factor_interval(self):
         b, v, m = 2.0, 3.0, 1e5
         for k in (5.0, 50.0):
-            power = continuous_lomax_pdf(b, v, 0.0) * 0.0 + v * b**v * k ** (-v - 1.0)
+            power = v * b**v * k ** (-v - 1.0)
             ratio = lognormal_asymptote(b, v, m, k) / power
             lower = math.exp(-v * math.log(k) ** 2 / (2.0 * m))
             assert lower - 1e-15 <= ratio <= 1.0 + 1e-15
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            lognormal_asymptote(1.0, 1.0, 0.0, 2.0)
-        with pytest.raises(DomainError):
-            lognormal_asymptote(1.0, 1.0, 1.0, 0.5)
 
 
 class TestModelInvariants:
@@ -377,33 +306,8 @@ class TestValidation:
             MixtureModel(())
 
     def test_gamma_mixing_mean(self):
-        g = GammaMixing(shape=2.5, rate=5.0)
-        assert g.mean == 0.5
-        total, _ = quad(g.pdf, 0.0, np.inf, limit=200)
+        # the C2 oracle's mixing density is normalized with mean shape / rate
+        total, _ = quad(gamma_pdf, 0.0, np.inf, args=(2.5, 5.0), limit=200)
+        mean, _ = quad(lambda lam: lam * gamma_pdf(lam, 2.5, 5.0), 0.0, np.inf, limit=200)
         np.testing.assert_allclose(total, 1.0, atol=1e-9)
-
-    def test_gamma_mixing_scalar_path_matches_array_path(self):
-        rng = np.random.default_rng(356)
-        for _ in range(200):
-            v = float(np.exp(rng.uniform(np.log(0.1), np.log(10.0))))
-            b = float(np.exp(rng.uniform(np.log(0.01), np.log(100.0))))
-            g = GammaMixing(shape=v, rate=b)
-            lams = np.exp(rng.uniform(np.log(1e-8), np.log(1e3), 1000))
-            arr = g.pdf(lams)
-            scal = np.array([g.pdf(float(x)) for x in lams])
-            assert np.all(np.abs(scal - arr) <= 2.0 * np.spacing(arr))
-        for v, at_zero in ((0.5, math.inf), (1.0, 3.0), (2.0, 0.0)):
-            g = GammaMixing(shape=v, rate=3.0)
-            assert g.pdf(0.0) == g.pdf(np.array([0.0]))[0] == at_zero
-        g = GammaMixing(shape=2.5, rate=5.0)
-        for bad in (-1e-300, -1.0, math.inf, -math.inf, math.nan):
-            with pytest.raises(DomainError):
-                g.pdf(bad)
-
-    def test_gamma_mixing_infinite_density_without_warning(self):
-        # (v - 1) log(lam) = 737 overflows exp: the density is inf, silently
-        g = GammaMixing(shape=0.01, rate=1.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert g.pdf(np.array([5e-324, 1.0]))[0] == math.inf
-            assert g.pdf(5e-324) == math.inf
+        np.testing.assert_allclose(mean, 0.5, atol=1e-9)

@@ -1,13 +1,18 @@
 """Message-log parsing, reply matching, discretization, count files."""
 
+import io
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lomaxmix import (
     CountSample,
     DegenerateDataError,
     DomainError,
     InputFormatError,
+    LomaxMixError,
     MessageEvent,
     ReplyDelaySample,
     discretize,
@@ -177,3 +182,31 @@ class TestCountFiles:
         bad.write_text("x,0\ny,-3\n")
         with pytest.raises(DegenerateDataError):
             load_counts(bad)
+
+
+# Lines of arbitrary text, mixed with integers (any, and either side of the
+# int64 limit) and comma-joined fields, so both readers reach their checks.
+_INTEGER = st.one_of(st.integers(), st.integers(2**63 - 2, 2**64))
+_FIELD = st.one_of(_INTEGER.map(str), st.text(max_size=6))
+_LINE = st.one_of(st.text(), _FIELD, st.lists(_FIELD, max_size=4).map(",".join))
+_TEXT = st.lists(_LINE, max_size=12).map("\n".join)
+
+
+class TestArbitraryInput:
+    """Any text ends in a result or a package error, never another exception."""
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(text=_TEXT)
+    def test_load_counts(self, text):
+        try:
+            load_counts(io.StringIO(text))
+        except LomaxMixError:
+            pass
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(text=_TEXT, delimiter=st.one_of(st.just(","), st.text(max_size=3)), header=st.booleans())
+    def test_parse_message_log(self, text, delimiter, header):
+        try:
+            parse_message_log(io.StringIO(text), delimiter=delimiter, header=header)
+        except LomaxMixError:
+            pass

@@ -7,56 +7,54 @@ import pytest
 from scipy import stats
 
 from lomaxmix import (
-    CompetingObservablesConfig,
     DomainError,
-    GeometricState,
     MixtureModel,
     ValidationError,
     chi_square_test,
-    sample_geometric_state,
     sample_mixture,
-    simulate_competing_observables,
 )
-from lomaxmix.simulate import _gamma_variates, _rng
+from lomaxmix.simulate import _counts_from_rates, _gamma_variates, _rng
+
+import mechanism
 
 
 def single(b, v):
     return MixtureModel.from_parameters([1.0], [b], [v])
 
 
+def geometric_draws(lam, n, seed):
+    """Counts of the single-rate geometric law, P(K > k) = e^(-k lam)."""
+    return _counts_from_rates(_rng(seed), np.full(n, lam))
+
+
 class TestGeometricSampler:
     def test_mean_at_log2(self):
-        st = GeometricState(rate=math.log(2.0))
-        s = sample_geometric_state(st, 10**6, seed=1)
+        s = geometric_draws(math.log(2.0), 10**6, seed=1)
         sigma_mean = math.sqrt(2.0 / 10**6)  # Var(K) = e^-lam / (1 - e^-lam)^2
-        assert abs(s.values.mean() - 2.0) < 3.0 * sigma_mean
+        assert abs(s.mean() - 2.0) < 3.0 * sigma_mean
 
     def test_mean_at_small_rate(self):
-        st = GeometricState(rate=0.01)
-        s = sample_geometric_state(st, 10**6, seed=2)
-        assert abs(s.values.mean() - 100.50083333194443) / 100.5 < 0.01
+        s = geometric_draws(0.01, 10**6, seed=2)
+        assert abs(s.mean() - 100.50083333194443) / 100.5 < 0.01
 
     def test_large_rate_collapses_to_one(self):
-        s = sample_geometric_state(GeometricState(rate=20.0), 1000, seed=5)
-        assert np.all(s.values == 1)
+        assert np.all(geometric_draws(20.0, 1000, seed=5) == 1)
 
     def test_inverse_transform_tail(self):
-        # P(K > k) = e^-(k lam) for the conditional geometric law
         lam = 0.3
-        s = sample_geometric_state(GeometricState(rate=lam), 10**6, seed=3)
+        s = geometric_draws(lam, 10**6, seed=3)
         for k in (1, 5, 20):
             target = math.exp(-k * lam)
             sigma = math.sqrt(target * (1.0 - target) / 10**6)
-            observed = np.mean(s.values > k)
+            observed = np.mean(s > k)
             assert abs(observed - target) < 3.0 * sigma
 
     def test_reproducible(self):
-        st = GeometricState(rate=0.7)
-        a = sample_geometric_state(st, 1000, seed=9)
-        b = sample_geometric_state(st, 1000, seed=9)
-        c = sample_geometric_state(st, 1000, seed=10)
-        assert np.array_equal(a.values, b.values)
-        assert not np.array_equal(a.values, c.values)
+        a = geometric_draws(0.7, 1000, seed=9)
+        b = geometric_draws(0.7, 1000, seed=9)
+        c = geometric_draws(0.7, 1000, seed=10)
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, c)
 
 
 class TestGammaVariates:
@@ -131,59 +129,27 @@ class TestMixtureSampler:
 
 
 class TestCompetingObservables:
+    """The C10 oracle's draws, built on this module's uniform and gamma samplers."""
+
     def test_single_competitor_uniform_marginal(self):
-        cfg = CompetingObservablesConfig(
-            n_observables=1, theta=2.0, rho=0.5, mu=3.0, draws=10**5, seed=5
-        )
-        res = simulate_competing_observables(cfg)
-        mid = cfg.budget / 2.0
-        assert abs(res.empirical_ccdf(mid) - 0.5) < 0.01
+        budget = 3.0
+        draws = mechanism.competing_observables(1, budget, 10**5, seed=5)
+        mid = budget / 2.0
+        assert abs(np.mean(draws >= mid) - 0.5) < 0.01
         # exact curve for N=1 is linear
-        np.testing.assert_allclose(res.exact_ccdf(mid), 0.5)
+        np.testing.assert_allclose(mechanism.exact_ccdf(mid, 1, budget), 0.5)
 
     def test_large_n_matches_exact_marginal(self):
-        cfg = CompetingObservablesConfig(
-            n_observables=1000, theta=1.0, rho=1.0, mu=1.0, draws=10**5, seed=6
-        )
-        res = simulate_competing_observables(cfg)
-        assert res.sup_distance_to_exact() < 0.01
+        draws = mechanism.competing_observables(1000, 1.0, 10**5, seed=6)
+        assert mechanism.sup_distance(draws, mechanism.exact_ccdf(draws, 1000, 1.0)) < 0.01
 
     def test_exact_close_to_exponential_limit(self):
-        cfg = CompetingObservablesConfig(
-            n_observables=1000, theta=1.0, rho=1.0, mu=1.0, draws=10, seed=0
-        )
-        res = simulate_competing_observables(cfg)
-        x = np.linspace(0.0, 3.0 * cfg.budget / cfg.n_observables, 20001)
-        gap = np.abs(res.exact_ccdf(x) - res.exponential_ccdf(x))
+        x = np.linspace(0.0, 3.0 / 1000, 20001)
+        gap = np.abs(mechanism.exact_ccdf(x, 1000, 1.0) - mechanism.exponential_ccdf(x, 1000, 1.0))
         assert gap.max() < 0.005
 
-    def test_reference_table_and_tsv(self, tmp_path):
-        cfg = CompetingObservablesConfig(
-            n_observables=10, theta=1.0, rho=1.0, mu=2.0, draws=1000, seed=7
-        )
-        res = simulate_competing_observables(cfg)
-        x = np.linspace(0.0, cfg.budget, 11)
-        table = res.reference_table(x)
-        assert table.shape == (11, 4)
-        assert table[0, 1] == 1.0 and table[0, 2] == 1.0
-        path = tmp_path / "ref.tsv"
-        res.write_reference_tsv(path, x)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "x\tempirical\texact\texponential_limit"
-        assert len(lines) == 12
-
     def test_samples_in_budget(self):
-        cfg = CompetingObservablesConfig(
-            n_observables=5, theta=3.0, rho=0.8, mu=2.0, draws=5000, seed=8
-        )
-        res = simulate_competing_observables(cfg)
-        assert np.all(res.samples >= 0.0)
-        assert np.all(res.samples <= cfg.budget)
-
-    def test_validation(self):
-        with pytest.raises(ValidationError):
-            CompetingObservablesConfig(n_observables=0, theta=1, rho=1, mu=1, draws=10)
-        with pytest.raises(ValidationError):
-            CompetingObservablesConfig(n_observables=1, theta=1, rho=1.5, mu=1, draws=10)
-        with pytest.raises(ValidationError):
-            CompetingObservablesConfig(n_observables=1, theta=-1, rho=1, mu=1, draws=10)
+        budget = 4.8
+        draws = mechanism.competing_observables(5, budget, 5000, seed=8)
+        assert np.all(draws >= 0.0)
+        assert np.all(draws <= budget)
