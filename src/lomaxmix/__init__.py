@@ -6,6 +6,8 @@ against power-law and lognormal baselines, and draw synthetic counts
 from a fitted model.
 """
 
+from types import ModuleType as _ModuleType
+
 from .distributions import (
     LomaxComponent,
     MixtureModel,
@@ -52,50 +54,8 @@ from .simulate import sample_mixture
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # distributions
-    "LomaxComponent",
-    "MixtureModel",
-    "RankModel",
-    "mixture_pmf",
-    "mixture_ccdf",
-    "mixture_log_pmf",
-    "rank_frequency",
-    # fitting
-    "CountSample",
-    "FitConfig",
-    "FitResult",
-    "ScanResult",
-    "BaselineResult",
-    "n_params_for_order",
-    "aic",
-    "log_likelihood",
-    "fit_mixture",
-    "scan_orders",
-    "fit_power_law",
-    "fit_lognormal",
-    # gof
-    "GofReport",
-    "GofBin",
-    "empirical_ccdf",
-    "chi_square_test",
-    # ingest
-    "MessageEvent",
-    "ReplyDelaySample",
-    "parse_message_log",
-    "extract_reply_delays",
-    "discretize",
-    "load_counts",
-    "save_counts",
-    # simulate
-    "sample_mixture",
-    # errors
-    "LomaxMixError",
-    "DomainError",
-    "ValidationError",
-    "InputFormatError",
-    "DegenerateDataError",
-    "FitError",
-    "InsufficientResolutionError",
+# every name imported above, and the version
+__all__ = ["__version__"] + [
+    name for name, value in list(globals().items())
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
 ]

@@ -9,6 +9,7 @@ degenerate result, 2 input, output or validation error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -18,7 +19,7 @@ from .distributions import (
     MixtureModel,
     RankModel,
     _component_ccdf,
-    mixture_ccdf,
+    mixture_ccdf,  # noqa: F401  not called here; perfbench/worker.py wraps this name
     rank_frequency,
 )
 from .errors import (
@@ -73,6 +74,24 @@ def _err(msg: str) -> None:
     print(f"error: {msg}", file=sys.stderr)
 
 
+def _claim_outputs(*paths) -> None:
+    """Open every output before any is written, so a path that cannot be
+    opened leaves no output behind: the files this call created are removed
+    again, and files that already existed are not truncated."""
+    created = []
+    try:
+        for path in paths:
+            existed = os.path.exists(path)
+            with open(path, "a", encoding="utf-8"):
+                pass
+            if not existed:
+                created.append(path)
+    except OSError:
+        for path in created:
+            os.remove(path)
+        raise
+
+
 def _load_sample(path):
     result = load_counts(path)
     if result.dropped:
@@ -91,6 +110,7 @@ def cmd_replies(args) -> int:
     counts = discretize(sample)
     out_delays = args.out_delays or f"{args.log}.delays"
     out_counts = args.out_counts or f"{args.log}.counts"
+    _claim_outputs(out_delays, out_counts)
     write_delays(out_delays, sample)
     save_counts(out_counts, counts)
     print(f"rows read        {log.rows_read}")
@@ -234,16 +254,15 @@ def cmd_ccdf(args) -> int:
         return bad
     model = model_from_dict(report["components"])
     ks, fracs = empirical_ccdf(sample)
-    model_col = mixture_ccdf(model, ks)
     comp_cols = _component_ccdf(model._c, model._b, model._v, ks.astype(float))
+    model_col = comp_cols.sum(axis=0)  # the left fold of mixture_ccdf, bit for bit
     header = ["k", "empirical", "model"] + [
         f"component_{i + 1}" for i in range(model.order)
     ]
     lines = ["\t".join(header)]
-    for j, k in enumerate(ks):
-        row = [str(int(k)), repr(float(fracs[j])), repr(float(model_col[j]))]
-        row += [repr(float(col[j])) for col in comp_cols]
-        lines.append("\t".join(row))
+    columns = (fracs.tolist(), model_col.tolist(), *comp_cols.tolist())
+    for k, *values in zip(ks.tolist(), *columns):
+        lines.append("\t".join([str(int(k)), *map(repr, values)]))
     _write_tsv(args.out, lines)
     return EXIT_OK
 
@@ -303,6 +322,7 @@ def cmd_simulate(args) -> int:
     else:
         model = model_from_dict(load_report(args.from_report)["components"])
     sample = sample_mixture(model, args.n, args.seed)
+    _claim_outputs(args.out, f"{args.out}.meta.json")
     save_counts(args.out, sample)
     meta = {
         "schema_version": SCHEMA_VERSION,
@@ -327,11 +347,14 @@ def _add_fit_flags(p) -> None:
     p.add_argument("--seed", type=int, default=0, help="random seed")
     p.add_argument(
         "--max-evals", type=int, default=50_000,
-        help="evaluation cap per start; with --starts 1 or a cap of at most 2000, every "
-        "start runs to --tol, otherwise every start is screened for 2000 evaluations "
-        "and the 8 best are polished with the rest",
+        help="per-start cap on evaluations of the objective and its gradient; a start "
+        "that reaches it is unconverged",
     )
-    p.add_argument("--tol", type=float, default=1e-9, help="relative convergence tolerance")
+    p.add_argument(
+        "--tol", type=float, default=1e-11,
+        help="a start converges when its projected gradient is at most tol * max(1, |logL|), "
+        "or logL rose by less than that over its last 10 steps",
+    )
     p.add_argument("--alpha", type=float, default=0.001, help="gof significance level")
 
 

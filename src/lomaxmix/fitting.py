@@ -1,8 +1,10 @@
 """Maximum-likelihood fitting of discrete Lomax mixtures and baselines.
 
-The mixture likelihood is maximized with a derivative-free simplex search
-over an unconstrained reparameterization: log scales, log shapes, and
-stick-breaking logits for the weights.  Multi-start initialization uses a
+The mixture likelihood is maximized over stick-breaking logits for the
+weights, log scales and log shapes, boxed to the model's parameter
+bounds.  All starts step together: one batched evaluation returns every
+start's objective and analytic gradient, and a projected quasi-Newton
+(BFGS) search moves each start on its own.  The starts are a
 method-of-moments seed (quantile partition of the sample, one component
 per group) plus log-normal jitter of factor-2 scale.  Model order is
 selected by AIC; a discrete power law and a continuous lognormal serve as
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -20,7 +23,7 @@ from .distributions import (
     SCALE_BOUNDS,
     SHAPE_BOUNDS,
     MixtureModel,
-    _mix_log_pmf,
+    _component_terms,
     mixture_log_pmf,
 )
 from .errors import (
@@ -29,7 +32,6 @@ from .errors import (
     FitError,
     ValidationError,
 )
-from .optimize import nelder_mead
 from .special import riemann_zeta
 
 __all__ = [
@@ -47,12 +49,14 @@ __all__ = [
     "fit_lognormal",
 ]
 
-_PENALTY = 1e15
 _LOG_JITTER = math.log(2.0)
-# Outside the direct plan (see FitConfig), every start gets _COARSE_EVALS
-# screening evaluations and the _REFINE_TOP best are polished to tol.
-_COARSE_EVALS = 2_000
-_REFINE_TOP = 8
+_LOGIT_BOUND = 34.5  # a stick-breaking weight at this bound is ~1e-15
+# Distinct values per slab of the batched objective, so its (starts, M,
+# _BLOCK) temporaries stay a few MB at any sample size.
+_BLOCK = 1024
+_MAX_HALVINGS = 10  # per line search
+_ARMIJO = 1e-4
+_WINDOW = 10  # steps over which a decrease below tol ends a start
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,20 +121,19 @@ class CountSample:
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Knobs of the multi-start simplex search.
+    """Knobs of the multi-start quasi-Newton search.
 
-    ``starts`` starts are drawn from ``seed``, and no start spends more than
-    ``max_evals`` objective evaluations.  With one start, or with
-    ``max_evals`` at most 2,000, every start runs to relative tolerance
-    ``tol``.  Otherwise every start is screened for 2,000 evaluations and
-    the 8 best are polished to ``tol`` with the remaining
-    ``max_evals - 2,000``.
+    ``starts`` starts are drawn from ``seed`` and searched together.  A
+    start converges when its projected gradient is at most ``tol``
+    max(1, |f|), f the negative log-likelihood, or when f fell by less than
+    that over its last 10 steps.  A start that spends ``max_evals``
+    evaluations of the objective and its gradient stops unconverged.
     """
 
     starts: int = 20
     seed: int = 0
     max_evals: int = 50_000
-    tol: float = 1e-9
+    tol: float = 1e-11
 
     def __post_init__(self) -> None:
         if self.starts < 1:
@@ -217,65 +220,102 @@ def log_likelihood(model: MixtureModel, data: CountSample) -> float:
 
 
 # ---------------------------------------------------------------------------
-# unconstrained reparameterization
+# bounded reparameterization and the batched objective
 # ---------------------------------------------------------------------------
 
 
-def _sigmoid(t: float) -> float:
-    if t >= 0.0:
-        return 1.0 / (1.0 + math.exp(-t))
-    e = math.exp(t)
-    return e / (1.0 + e)
-
-
-def _weights_from_logits(logits: np.ndarray, order: int) -> np.ndarray:
-    c = np.empty(order)
-    remaining = 1.0
-    for j in range(order - 1):
-        f = _sigmoid(float(logits[j]))
-        f = min(max(f, 1e-15), 1.0 - 1e-15)
-        c[j] = remaining * f
-        remaining *= 1.0 - f
-    c[order - 1] = remaining
+def _weights_from_logits(logits: np.ndarray) -> np.ndarray:
+    """(S, M) stick-breaking weights of (S, M - 1) logits."""
+    frac = 1.0 / (1.0 + np.exp(-logits))
+    rest = 1.0 / (1.0 + np.exp(logits))  # 1 - frac without the cancellation
+    c = np.empty((logits.shape[0], logits.shape[1] + 1))
+    remaining = np.ones(logits.shape[0])
+    for j in range(logits.shape[1]):
+        c[:, j] = remaining * frac[:, j]
+        remaining = remaining * rest[:, j]
+    c[:, -1] = remaining
     return c
 
 
-def _logits_from_weights(c: np.ndarray) -> np.ndarray:
-    order = c.size
-    logits = np.empty(order - 1)
-    remaining = 1.0
-    for j in range(order - 1):
-        f = min(max(c[j] / remaining, 1e-12), 1.0 - 1e-12)
-        logits[j] = math.log(f / (1.0 - f))
-        remaining *= 1.0 - f
-    return logits
-
-
-def _pack(c: np.ndarray, b: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return np.concatenate([_logits_from_weights(c), np.log(b), np.log(v)])
-
-
 def _unpack(theta: np.ndarray, order: int):
-    logits = theta[: order - 1]
-    b = np.exp(np.minimum(theta[order - 1 : 2 * order - 1], 709.0))
-    v = np.exp(np.minimum(theta[2 * order - 1 :], 709.0))
-    return _weights_from_logits(logits, order), b, v
+    """(S, P) parameter rows to (S, M) weights, scales and shapes."""
+    c = _weights_from_logits(theta[:, : order - 1])
+    return c, np.exp(theta[:, order - 1 : 2 * order - 1]), np.exp(theta[:, 2 * order - 1 :])
 
 
-def _make_objective(ks: np.ndarray, counts: np.ndarray, order: int):
-    b_lo, b_hi = SCALE_BOUNDS
-    v_lo, v_hi = SHAPE_BOUNDS
+def _box(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper bounds of (logits, log b, log v)."""
+    bounds = [(-_LOGIT_BOUND, _LOGIT_BOUND)] * (order - 1)
+    bounds += [np.log(SCALE_BOUNDS)] * order + [np.log(SHAPE_BOUNDS)] * order
+    return tuple(np.array(bounds).T)
 
-    def nll(theta: np.ndarray) -> float:
-        c, b, v = _unpack(theta, order)
-        if np.any(b < b_lo) or np.any(b > b_hi) or np.any(v < v_lo) or np.any(v > v_hi):
-            return _PENALTY
-        val = -float(np.dot(counts, _mix_log_pmf(c, b, v, ks)))
-        if not math.isfinite(val):
-            return _PENALTY
-        return val
 
-    return nll
+def _objective(theta: np.ndarray, ks: np.ndarray, counts: np.ndarray):
+    """Negative log-likelihood of each row of theta (S, P), and its gradient.
+
+    With s, t and v t from ``_component_terms``, D = -expm1(v t) and
+    Q = e^{v t} / D, a component's log-mass is -v s + log D and
+
+        d log p / d log v = -v (s + t Q),
+        d log p / d log b = v ((k - 1) / (k - 1 + b) - Q b / ((k - 1 + b)(k + b))).
+
+    The mixture weights these by the responsibilities r; the logits of the
+    stick-breaking weights take d f / d logit_j = -(R_j (1 - f_j) - f_j
+    sum_{i>j} R_i), R_i the count-weighted sum of r_i.  The distinct values
+    are taken _BLOCK at a time and every sum over them is a numpy sum over
+    the last axis, so a row's result does not depend on the other rows.
+    """
+    rows, n_par = theta.shape
+    order = (n_par + 1) // 3
+    c, b, v = _unpack(theta, order)
+    log_c = np.log(c)[:, :, None]
+    b_col, neg_v = b[:, :, None], -v[:, :, None]
+    nll = np.zeros(rows)
+    resp = np.zeros((rows, order))
+    grad_b = np.zeros((rows, order))
+    grad_v = np.zeros((rows, order))
+    for lo in range(0, ks.size, _BLOCK):
+        k, n = ks[lo : lo + _BLOCK], counts[lo : lo + _BLOCK]
+        s, t, d = _component_terms(b, v, k)
+        q = np.exp(d)
+        np.expm1(d, out=d)
+        np.negative(d, out=d)  # D
+        q /= d  # Q
+        logp = s * neg_v
+        logp += np.log(d, out=d)
+        logp += log_c
+        if order == 1:
+            log_mix, w = logp[:, 0], n  # every responsibility is 1
+        else:
+            top = logp.max(axis=1)
+            logp -= top[:, None]
+            w = np.exp(logp, out=logp)
+            total = w.sum(axis=1)
+            log_mix = np.log(total)
+            log_mix += top
+            w *= (n / total)[:, None]  # count-weighted responsibilities
+            resp += w.sum(axis=2)
+        nll -= (log_mix * n).sum(axis=1)
+        t *= q
+        t += s  # s + t Q
+        grad_v += np.multiply(t, w, out=t).sum(axis=2)
+        # (k - 1)/(k - 1 + b) - Q b/((k - 1 + b)(k + b)) = (z - Q / (k + b)) / (1 + z)
+        # with z = (k - 1) / b
+        z = np.divide(k - 1.0, b_col, out=s)
+        np.add(k, b_col, out=d)
+        np.divide(q, d, out=q)
+        np.subtract(z, q, out=q)
+        z += 1.0
+        q /= z
+        grad_b += np.multiply(q, w, out=q).sum(axis=2)
+    grad = np.empty_like(theta)
+    if order > 1:
+        logits = theta[:, : order - 1]
+        later = np.cumsum(resp[:, :0:-1], axis=1)[:, ::-1]  # sum over i > j of R_i
+        grad[:, : order - 1] = later / (1 + np.exp(-logits)) - resp[:, :-1] / (1 + np.exp(logits))
+    grad[:, order - 1 : 2 * order - 1] = -v * grad_b
+    grad[:, 2 * order - 1 :] = v * grad_v
+    return nll, grad
 
 
 def _moment_start(ks: np.ndarray, counts: np.ndarray, order: int):
@@ -307,8 +347,111 @@ def _moment_start(ks: np.ndarray, counts: np.ndarray, order: int):
     c = np.maximum(np.asarray(weights, dtype=float), 1e-3)
     c /= c.sum()
     b = np.clip(np.asarray(scales, dtype=float), b_lo * 10.0, b_hi / 10.0)
-    v = np.ones(order)
-    return _pack(c, b, v)
+    logits, remaining = [], 1.0  # stick-breaking
+    for weight in c[:-1]:
+        f = min(max(weight / remaining, 1e-12), 1.0 - 1e-12)
+        logits.append(math.log(f / (1.0 - f)))
+        remaining *= 1.0 - f
+    return np.concatenate([logits, np.log(b), np.zeros(order)])  # log v = 0
+
+
+def _held(x, g, lo, hi) -> np.ndarray:
+    """Parameters held at a bound: at the bound with the gradient pushing out."""
+    return ((x <= lo) & (g > 0.0)) | ((x >= hi) & (g < 0.0))
+
+
+def _minimize(fun, x, lo, hi, tol: float, max_evals: int):
+    """Projected BFGS from every row of x (S, P) at once, within [lo, hi].
+
+    ``fun`` maps rows to their objective values and gradients.  Parameters
+    at a bound whose gradient pushes outward are held; the others step along
+    -H g, H a per-row inverse-Hessian estimate on the free parameters.  A
+    parameter that becomes held leaves H, one released re-enters it as the
+    scaled identity, so H keeps what it learned.  A backtracking line search
+    halves a step at most _MAX_HALVINGS times; failing along -H g, the row
+    retries along the scaled gradient, and failing there it has converged
+    (its noise floor).  It also converges when its projected gradient is at
+    most tol max(1, |f|) or f fell by less than that over its last _WINDOW
+    steps, and stops unconverged after ``max_evals`` evaluations.  A row's
+    path depends on that row alone.  Returns the final rows, objectives,
+    convergence flags and evaluation counts.
+    """
+    n_par = x.shape[1]
+    diag = np.arange(n_par)
+    x = np.clip(x, lo, hi)
+    f, g = fun(x)
+    out = [x.copy(), f.copy(), np.zeros(f.size, dtype=bool), np.ones(f.size, dtype=np.int64)]
+    # the rows still running, in row order
+    row, evals, converged = np.arange(f.size), out[3].copy(), out[2].copy()
+    h_inv = np.zeros((f.size, n_par, n_par))
+    fresh = np.ones(f.size, dtype=bool)  # no H: step along the scaled gradient
+    gamma = np.full(f.size, math.nan)  # latest s.y / y.y
+    held = _held(x, g, lo, hi)
+    recent = np.full((f.size, _WINDOW + 1), math.inf)  # f over the last steps
+    recent[:, -1] = f
+    while True:
+        limit = tol * np.maximum(1.0, np.abs(f))
+        converged |= np.abs(np.clip(x - g, lo, hi) - x).max(axis=1) <= limit
+        converged |= recent[:, 0] - f <= limit
+        done = converged | (evals >= max_evals) | ~np.isfinite(f)
+        if done.any():
+            for dst, val in zip(out, (x, f, converged, evals)):
+                dst[row[done]] = val[done]
+            if done.all():
+                return tuple(out)
+            state = (row, x, f, g, evals, converged, h_inv, fresh, gamma, held, recent)
+            row, x, f, g, evals, converged, h_inv, fresh, gamma, held, recent = (
+                a[~done] for a in state
+            )
+
+        free = ~held
+        g_free = g * free
+        step = -(h_inv * g_free[:, None, :]).sum(axis=2)
+        fresh |= (step * g_free).sum(axis=1) >= 0.0  # not a descent direction
+        scale = np.where(np.isnan(gamma), 1.0 / np.abs(g_free).max(axis=1), gamma)
+        step = np.where(fresh[:, None], -scale[:, None] * g_free, step)
+
+        trial, f_t, g_t = x.copy(), f.copy(), g.copy()
+        good = np.zeros(row.size, dtype=bool)
+        pending = np.arange(row.size)
+        for halving in range(_MAX_HALVINGS + 1):
+            x_p = np.clip(x[pending] + 0.5**halving * step[pending], lo, hi)
+            f_p, g_p = fun(x_p)
+            evals[pending] += 1
+            ok = f_p <= f[pending] + _ARMIJO * ((x_p - x[pending]) * g[pending]).sum(axis=1)
+            moved = pending[ok]
+            trial[moved], f_t[moved], g_t[moved], good[moved] = x_p[ok], f_p[ok], g_p[ok], True
+            pending = pending[~ok & (evals[pending] < max_evals)]
+            if pending.size == 0:
+                break
+        failed = ~good & (evals < max_evals)
+        converged |= failed & fresh  # the noise floor
+        fresh |= failed
+
+        # BFGS update on the free parameters; a fresh row first gets gamma I
+        s, y = trial - x, (g_t - g) * free
+        sy, yy = (s * y).sum(axis=1), (y * y).sum(axis=1)
+        curved = good & (sy > 1e-12 * np.sqrt((s * s).sum(axis=1) * yy))
+        sy = np.where(curved, sy, 1.0)
+        gamma = np.where(curved, sy / np.where(curved, yy, 1.0), gamma)
+        h = np.where((curved & fresh)[:, None, None], 0.0, h_inv)
+        h[:, diag, diag] += np.where((curved & fresh)[:, None] & free, gamma[:, None], 0.0)
+        hy = (h * y[:, None, :]).sum(axis=2)
+        rho = 1.0 / sy
+        coef = rho * (1.0 + rho * (y * hy).sum(axis=1))
+        h += coef[:, None, None] * s[:, :, None] * s[:, None, :]
+        h -= rho[:, None, None] * (hy[:, :, None] * s[:, None, :] + s[:, :, None] * hy[:, None, :])
+        h_inv = np.where(curved[:, None, None], h, h_inv)
+        fresh &= ~curved
+
+        x, g = np.where(good[:, None], trial, x), np.where(good[:, None], g_t, g)
+        f = np.where(good, f_t, f)
+        now_held = _held(x, g, lo, hi)
+        changed = now_held != held
+        h_inv *= ~(changed[:, :, None] | changed[:, None, :])
+        h_inv[:, diag, diag] += np.where(changed & ~now_held & ~fresh[:, None], gamma[:, None], 0.0)
+        held = now_held
+        recent = np.concatenate([recent[:, 1:], f[:, None]], axis=1)
 
 
 def fit_mixture(data: CountSample, order: int, config: FitConfig = FitConfig()) -> FitResult:
@@ -324,55 +467,29 @@ def fit_mixture(data: CountSample, order: int, config: FitConfig = FitConfig()) 
     n = int(counts_i.sum())
     n_free = n_params_for_order(order)
     if n < n_free:
-        raise ValidationError(
-            f"sample size {n} is too small to fit {n_free} parameters"
-        )
+        raise ValidationError(f"sample size {n} is too small to fit {n_free} parameters")
     if ks_i.size == 1:
         raise DegenerateDataError(
             "all observations are identical; the mixture likelihood has no interior optimum"
         )
     ks = ks_i.astype(float)
     counts = counts_i.astype(float)
-    nll = _make_objective(ks, counts, order)
 
     theta0 = _moment_start(ks, counts, order)
     key = np.array([config.seed % 2**64, order], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
-    starts = [theta0]
-    for _ in range(config.starts - 1):
-        starts.append(theta0 + rng.normal(0.0, _LOG_JITTER, theta0.size))
+    starts = theta0 + np.vstack(
+        [np.zeros(theta0.size), rng.normal(0.0, _LOG_JITTER, (config.starts - 1, theta0.size))]
+    )
+    fun = partial(_objective, ks=ks, counts=counts)
+    x, f, converged, _ = _minimize(fun, starts, *_box(order), config.tol, config.max_evals)
+    best = int(np.argmin(np.where(np.isfinite(f), f, np.inf)))  # the first minimum
+    if not np.isfinite(f[best]):
+        raise FitError(f"no start produced a usable optimum for order {order}")
 
-    # Direct plan: every start runs to tol.  Otherwise every start is
-    # screened, then the leaders are polished within the rest of the cap.
-    direct = config.starts == 1 or config.max_evals <= _COARSE_EVALS
-    if direct:
-        tol, budget = config.tol, config.max_evals
-    else:
-        tol, budget = max(config.tol, 1e-6), _COARSE_EVALS
-    runs = [nelder_mead(nll, theta, tol=tol, max_evals=budget) for theta in starts]
-    if not direct:
-        # sorted() is stable, so the leaders are ordered by (fun, start index).
-        # A polish cannot end above its screening optimum: that is its first
-        # vertex, and Nelder-Mead never lets its best vertex get worse.
-        leaders = sorted(runs, key=lambda r: r.fun)[:_REFINE_TOP]
-        budget = config.max_evals - _COARSE_EVALS
-        runs = [
-            nelder_mead(nll, r.x, step=0.05, tol=config.tol, max_evals=budget)
-            for r in leaders
-        ]
-    best = min(runs, key=lambda r: r.fun)  # the first minimum in run order
-
-    if best.fun >= _PENALTY / 2.0:
-        raise FitError(
-            f"no start produced a usable optimum for order {order} "
-            f"(best objective {best.fun}, {config.starts} starts)"
-        )
-
-    c, b, v = _unpack(best.x, order)
-    b_lo, b_hi = SCALE_BOUNDS
-    v_lo, v_hi = SHAPE_BOUNDS
+    c, b, v = _unpack(x[best : best + 1], order)
     model = MixtureModel.from_parameters(
-        c / c.sum(), np.clip(b, b_lo, b_hi), np.clip(v, v_lo, v_hi)
+        c[0] / c[0].sum(), np.clip(b[0], *SCALE_BOUNDS), np.clip(v[0], *SHAPE_BOUNDS)
     )
     ll = log_likelihood(model, data)
     return FitResult(
@@ -381,7 +498,7 @@ def fit_mixture(data: CountSample, order: int, config: FitConfig = FitConfig()) 
         n_params=n_free,
         aic=aic(ll, n_free),
         sample_size=n,
-        converged=best.converged,
+        converged=bool(converged[best]),
         starts_used=config.starts,
         seed=config.seed,
     )

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lomaxmix import (
     CountSample,
@@ -23,6 +25,7 @@ from lomaxmix import (
     scan_orders,
 )
 from lomaxmix import fitting
+from lomaxmix.report import sample_digest
 from lomaxmix.special import riemann_zeta
 
 
@@ -49,6 +52,29 @@ class TestCountSample:
             CountSample(np.array([1.5]))
         with pytest.raises(DegenerateDataError):
             CountSample(np.array([], dtype=np.int64))
+
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(
+        pairs=st.lists(
+            st.tuples(st.integers(1, 10**6), st.integers(0, 30)), min_size=1, max_size=40
+        ).filter(lambda p: sum(w for _, w in p) >= 1)
+    )
+    def test_weighted_and_expanded_forms_agree(self, pairs):
+        values = np.array([k for k, _ in pairs], dtype=np.int64)
+        weights = np.array([w for _, w in pairs], dtype=np.int64)
+        weighted = CountSample(values, weights=weights)
+        expanded = CountSample(np.repeat(values, weights))
+        for a, b in zip(weighted.distinct(), expanded.distinct()):
+            assert np.array_equal(a, b)
+        assert sample_digest(weighted) == sample_digest(expanded)
+        model = MixtureModel.from_parameters([0.6, 0.4], [2.0, 50.0], [1.1, 2.5])
+        assert log_likelihood(model, weighted) == log_likelihood(model, expanded)
+        if weighted.distinct()[0].size < 2 or weighted.size < 2:
+            return
+        config = FitConfig(starts=2, seed=1)
+        a, b = fit_mixture(weighted, 1, config), fit_mixture(expanded, 1, config)
+        assert a.model == b.model and a.log_likelihood == b.log_likelihood
 
 
 class TestLogLikelihood:
@@ -107,12 +133,12 @@ class TestFitMixture:
 
     def test_dominates_every_start_seed(self):
         # the returned optimum must beat the method-of-moments seed
-        from lomaxmix.fitting import _make_objective, _moment_start
+        from lomaxmix.fitting import _moment_start, _objective
 
         data = sample_mixture(TRUTH_2, 10**4, seed=3)
-        ks, counts = data.distinct()
-        nll = _make_objective(ks.astype(float), counts.astype(float), 2)
-        seed_val = -nll(_moment_start(ks.astype(float), counts.astype(float), 2))
+        ks, counts = (a.astype(float) for a in data.distinct())
+        nll, _ = _objective(_moment_start(ks, counts, 2)[None], ks, counts)
+        seed_val = -nll[0]
         fit = fit_mixture(data, 2, FitConfig(seed=3))
         assert fit.log_likelihood >= seed_val
 
@@ -196,50 +222,93 @@ class TestFitConfig:
             FitConfig(**{field: value})
 
 
-class TestSearchPlan:
-    """The simplex runs fit_mixture makes, with their budgets and tolerances."""
-
-    @pytest.fixture
-    def runs(self, monkeypatch):
-        real = fitting.nelder_mead
-        runs = []
-
-        def recorder(fn, x0, step=0.25, tol=1e-9, max_evals=50_000):
-            res = real(fn, x0, step=step, tol=tol, max_evals=max_evals)
-            runs.append({"x0": np.array(x0), "step": step, "tol": tol,
-                         "max_evals": max_evals, "res": res})
-            return res
-
-        monkeypatch.setattr(fitting, "nelder_mead", recorder)
-        return runs
+class TestFitter:
+    """The batched objective and the projected BFGS search over all starts."""
 
     @pytest.fixture(scope="class")
     def data(self):
-        return sample_mixture(TRUTH_2, 2000, seed=5)
+        return sample_mixture(TRUTH_2, 3000, seed=5)
 
-    def test_one_start_runs_directly(self, runs, data):
-        fit_mixture(data, 2, FitConfig(starts=1))
-        assert [(r["step"], r["tol"], r["max_evals"]) for r in runs] == [(0.25, 1e-9, 50_000)]
+    @staticmethod
+    def rows(data, order, n, seed):
+        ks, counts = (a.astype(float) for a in data.distinct())
+        rng = np.random.default_rng(seed)
+        theta = fitting._moment_start(ks, counts, order) + rng.normal(0.0, 0.5, (n, 3 * order - 1))
+        return theta, ks, counts
 
-    def test_small_cap_runs_every_start_directly(self, runs, data):
-        fit = fit_mixture(data, 2, FitConfig(starts=6, max_evals=1_500))
-        assert [(r["step"], r["tol"], r["max_evals"]) for r in runs] == [(0.25, 1e-9, 1_500)] * 6
-        best = min(runs, key=lambda r: r["res"].fun)
-        assert fit.converged == best["res"].converged
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_gradient_matches_central_differences(self, data, order):
+        theta, ks, counts = self.rows(data, order, 3, order)
+        if order == 3:  # the last component at the shape bound
+            theta[1, -1] = math.log(fitting.SHAPE_BOUNDS[1])
+        _, grad = fitting._objective(theta, ks, counts)
+        step = 1e-5
+        numeric = np.empty_like(grad)
+        for j in range(theta.shape[1]):
+            up, down = theta.copy(), theta.copy()
+            up[:, j] += step
+            down[:, j] -= step
+            numeric[:, j] = (
+                fitting._objective(up, ks, counts)[0] - fitting._objective(down, ks, counts)[0]
+            ) / (2.0 * step)
+        for g, fd in zip(grad, numeric):
+            assert np.abs(g - fd).max() <= 1e-6 * np.abs(g).max()
 
-    def test_large_cap_screens_then_polishes_within_the_cap(self, runs, data):
-        fit_mixture(data, 2, FitConfig(starts=10, max_evals=2_500))
-        screen, polish = runs[:10], runs[10:]
-        assert [(r["step"], r["tol"], r["max_evals"]) for r in screen] == [(0.25, 1e-6, 2_000)] * 10
-        assert [(r["step"], r["tol"], r["max_evals"]) for r in polish] == (
-            [(0.05, 1e-9, 500)] * fitting._REFINE_TOP
-        )
-        # the leaders are polished in (objective, start index) order, each from
-        # its screening optimum, and no polish ends above where it began
-        leaders = sorted(range(10), key=lambda i: (screen[i]["res"].fun, i))[: fitting._REFINE_TOP]
-        for i, run in zip(leaders, polish):
-            assert np.array_equal(run["x0"], screen[i]["res"].x)
-            assert run["res"].fun <= screen[i]["res"].fun
+    def test_objective_is_the_log_likelihood(self, data):
+        theta, ks, counts = self.rows(data, 3, 4, 0)
+        nll, _ = fitting._objective(theta, ks, counts)
+        c, b, v = fitting._unpack(theta, 3)
+        for i in range(theta.shape[0]):
+            model = MixtureModel.from_parameters(c[i] / c[i].sum(), b[i], v[i])
+            np.testing.assert_allclose(-nll[i], log_likelihood(model, data), rtol=1e-12)
+
+    @pytest.mark.parametrize("n_distinct", [300, 2 * fitting._BLOCK + 77])
+    def test_rows_do_not_depend_on_their_batch(self, n_distinct):
+        rng = np.random.default_rng(n_distinct)
+        ks = np.unique(rng.integers(1, 10**6, size=n_distinct)).astype(float)
+        counts = rng.integers(1, 50, size=ks.size).astype(float)
+        theta = rng.normal(0.0, 1.0, (7, 8))  # order 3
+        nll, grad = fitting._objective(theta, ks, counts)
+        for i in range(theta.shape[0]):
+            alone = fitting._objective(theta[i : i + 1], ks, counts)
+            assert alone[0][0] == nll[i] and np.array_equal(alone[1][0], grad[i])
+        subset = [5, 1, 3]
+        part = fitting._objective(theta[subset], ks, counts)
+        assert np.array_equal(part[0], nll[subset]) and np.array_equal(part[1], grad[subset])
+
+    def test_more_starts_extend_the_start_list(self, data):
+        # the starts are a prefix, and each start's path ignores the others
+        ks, counts = (a.astype(float) for a in data.distinct())
+        rng = np.random.default_rng(3)
+        x0 = fitting._moment_start(ks, counts, 3) + rng.normal(0.0, 0.7, (6, 8))
+        lo, hi = fitting._box(3)
+
+        def fun(theta):
+            return fitting._objective(theta, ks, counts)
+
+        full = fitting._minimize(fun, x0, lo, hi, 1e-11, 50_000)
+        part = fitting._minimize(fun, x0[:4], lo, hi, 1e-11, 50_000)
+        for a, b in zip(full, part):
+            assert np.array_equal(a[:4], b)
+        fits = [fit_mixture(data, 3, FitConfig(starts=n, seed=1)) for n in range(1, 7)]
+        for fewer, more in zip(fits, fits[1:]):
+            assert more.log_likelihood >= fewer.log_likelihood
+
+    def test_evaluation_cap_is_per_start(self, data, monkeypatch):
+        real = fitting._minimize
+        results = []
+
+        def recorder(*args):
+            results.append(real(*args))
+            return results[-1]
+
+        monkeypatch.setattr(fitting, "_minimize", recorder)
+        fit = fit_mixture(data, 2, FitConfig(starts=5, max_evals=7))
+        (_, _, converged, evals), = results
+        assert evals.tolist() == [7] * 5
+        assert not converged.any() and fit.converged is False
+        fit = fit_mixture(data, 2, FitConfig(starts=5))
+        assert fit.converged and results[-1][3].max() < 50_000
 
 
 class TestScanOrders:
