@@ -42,7 +42,6 @@ from .fitting import (
 )
 from .gof import GofBin, GofReport, chi_square_test, empirical_ccdf
 from .ingest import (
-    MessageEvent,
     ReplyDelaySample,
     discretize,
     extract_reply_delays,

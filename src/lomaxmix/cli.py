@@ -106,7 +106,7 @@ def _load_sample(path):
 
 def cmd_replies(args) -> int:
     log = parse_message_log(args.log, delimiter=args.delimiter, header=args.header)
-    sample = extract_reply_delays(log.events, rule=args.rule, discretization=args.dt)
+    sample = extract_reply_delays(log, rule=args.rule, discretization=args.dt)
     counts = discretize(sample)
     out_delays = args.out_delays or f"{args.log}.delays"
     out_counts = args.out_counts or f"{args.log}.counts"

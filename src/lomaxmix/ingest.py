@@ -9,19 +9,18 @@ rules are provided:
 * ``exclusive``: replies are consumed FIFO, each answering at most one
   pending message.
 
-Both are order-independent (events are sorted internally) and drop
-self-messages with a counter.  Parsing never discards rows silently:
-malformed rows are tallied with their line numbers and processing
-continues.
+Both are order-independent (messages are sorted internally) and drop
+self-messages with a counter.  Parsing streams the lines into int64
+columns, with sender and receiver names interned to int ids; it never
+discards rows silently: malformed rows are tallied with their line
+numbers and processing continues.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -29,7 +28,6 @@ from .errors import DegenerateDataError, DomainError, InputFormatError
 from .fitting import CountSample
 
 __all__ = [
-    "MessageEvent",
     "ReplyDelaySample",
     "MessageLog",
     "CountLoadResult",
@@ -47,17 +45,8 @@ REPLY_RULES = ("first-response", "exclusive")
 DEFAULT_DISCRETIZATION = 60.0  # seconds per count unit
 
 _MAX_COUNT = np.iinfo(np.int64).max  # counts are held as int64
-
-
-class MessageEvent(NamedTuple):
-    """A directed message: integer timestamp (seconds), sender, receiver.
-
-    Events order as tuples, by (timestamp, sender, receiver).
-    """
-
-    timestamp: int
-    sender: str
-    receiver: str
+_MIN_TIMESTAMP, _MAX_TIMESTAMP = -(2**63), 2**63 - 1  # timestamps are held as int64
+_WRITE_BLOCK = 65_536  # values joined into one string per write
 
 
 @dataclass(frozen=True)
@@ -81,9 +70,17 @@ class ReplyDelaySample:
 
 @dataclass(frozen=True)
 class MessageLog:
-    """Parsed events plus a per-row error tally (line number, reason)."""
+    """Parsed rows as columns plus a per-row error tally (line number, reason).
 
-    events: tuple[MessageEvent, ...]
+    Parsed row i is a message at ``timestamps[i]`` (int64 seconds) from
+    ``names[senders[i]]`` to ``names[receivers[i]]``.  ``names`` is sorted,
+    so the ids order as the names do.
+    """
+
+    timestamps: np.ndarray
+    senders: np.ndarray
+    receivers: np.ndarray
+    names: tuple[str, ...]
     rows_read: int
     row_errors: tuple[tuple[int, str], ...] = ()
 
@@ -110,93 +107,183 @@ def parse_message_log(
     delimiter: str = ",",
     header: bool = False,
 ) -> MessageLog:
-    """Parse timestamp/sender/receiver rows from a path or line iterable."""
-    if not delimiter:
-        raise DomainError("delimiter must not be empty")
-    events: list[MessageEvent] = []
+    """Parse timestamp/sender/receiver rows from a path or line iterable.
+
+    Blank lines are skipped; every other row is either parsed or tallied
+    as a row error.  The delimiter may not contain a line break, so only
+    the receiver field can carry the line's end, which stripping removes.
+    """
+    if not delimiter or "\n" in delimiter or "\r" in delimiter:
+        raise DomainError(f"delimiter must be non-empty without line breaks, got {delimiter!r}")
+    times: list[int] = []
+    senders: list[int] = []
+    receivers: list[int] = []
+    # name -> id, in order of first appearance: a new name gets the next id
+    ids: defaultdict[str, int] = defaultdict(lambda: len(ids))
     errors: list[tuple[int, str]] = []
-    rows = 0
-    for lineno, raw in enumerate(_iter_lines(source), start=1):
-        line = raw.rstrip("\n").rstrip("\r")
-        if lineno == 1 and header:
-            continue
-        if not line.strip():
-            continue
-        rows += 1
-        parts = [p.strip() for p in line.split(delimiter)]
+    lines = enumerate(_iter_lines(source), start=1)
+    if header:
+        next(lines, None)
+    for lineno, raw in lines:
+        parts = raw.split(delimiter)
         if len(parts) != 3:
-            errors.append((lineno, f"expected 3 fields, got {len(parts)}"))
+            if raw.strip():
+                errors.append((lineno, f"expected 3 fields, got {len(parts)}"))
             continue
+        ts, sender, receiver = parts
+        ts = ts.strip()
         try:
-            ts = int(parts[0])
+            ts = int(ts)
         except ValueError:
-            errors.append((lineno, f"bad timestamp {parts[0]!r}"))
+            if raw.strip():  # a blank line fails here or above
+                errors.append((lineno, f"bad timestamp {ts!r}"))
             continue
-        if not parts[1] or not parts[2]:
+        if not _MIN_TIMESTAMP <= ts <= _MAX_TIMESTAMP:
+            errors.append((lineno, f"timestamp {ts} out of range"))
+            continue
+        sender = sender.strip()
+        receiver = receiver.strip()
+        if not sender or not receiver:
             errors.append((lineno, "empty sender or receiver"))
             continue
-        events.append(MessageEvent(ts, parts[1], parts[2]))
+        times.append(ts)
+        senders.append(ids[sender])
+        receivers.append(ids[receiver])
+    rows = len(times) + len(errors)
     if rows == 0:
         raise InputFormatError("message log contains no rows")
-    if not events:
+    if not times:
         raise InputFormatError(f"no parseable rows out of {rows}")
-    return MessageLog(events=tuple(events), rows_read=rows, row_errors=tuple(errors))
+    # renumber the ids in name order
+    first_seen = list(ids)
+    by_name = sorted(range(len(first_seen)), key=first_seen.__getitem__)
+    renumber = np.empty(len(first_seen), dtype=np.int64)
+    renumber[by_name] = np.arange(len(first_seen))
+    return MessageLog(
+        timestamps=np.array(times, dtype=np.int64),
+        senders=renumber[senders],
+        receivers=renumber[receivers],
+        names=tuple(first_seen[i] for i in by_name),
+        rows_read=rows,
+        row_errors=tuple(errors),
+    )
 
 
 def extract_reply_delays(
-    events,
+    log: MessageLog,
     rule: str = "first-response",
     discretization: float = DEFAULT_DISCRETIZATION,
 ) -> ReplyDelaySample:
-    """Extract reply delays from directed message events.
+    """Extract reply delays from a parsed message log.
 
     Self-messages are dropped (counted); messages that never see a later
-    reverse-direction message contribute nothing.  An empty result
-    raises, since downstream fitting has nothing to work with.
+    reverse-direction message contribute nothing.  Delays come out in
+    (timestamp, sender, receiver) order of the message they answer,
+    whatever the row order.  An empty result raises, since downstream
+    fitting has nothing to work with.
     """
     if rule not in REPLY_RULES:
         raise DomainError(f"rule must be one of {REPLY_RULES}, got {rule!r}")
-    usable = []
-    self_dropped = 0
-    for ev in events:
-        if ev.sender == ev.receiver:
-            self_dropped += 1
-            continue
-        usable.append(ev)
-    # the full-tuple order resolves timestamp ties by identity, so the
-    # result does not depend on input row order
-    usable.sort()
-
-    delays: list[float] = []
-    unanswered = 0
+    usable = log.senders != log.receivers
+    self_dropped = int(usable.size - np.count_nonzero(usable))
+    times = log.timestamps[usable]
+    senders = log.senders[usable]
+    receivers = log.receivers[usable]
+    order = _tuple_order(times, senders, receivers)
+    times, senders, receivers = times[order], senders[order], receivers[order]
+    # a pair of ids (a, b) becomes the int key a * width + b, which fits
+    # int64 while there are fewer than 3e9 names
+    width = len(log.names)
     if rule == "first-response":
-        by_pair: dict[tuple[str, str], list[int]] = defaultdict(list)
-        for ts, sender, receiver in usable:
-            by_pair[sender, receiver].append(ts)
-        for ts, sender, receiver in usable:
-            reverse = by_pair.get((receiver, sender), ())
-            i = bisect_right(reverse, ts)
-            if i == len(reverse):
-                unanswered += 1
-            else:
-                delays.append(float(reverse[i] - ts))
-    else:  # exclusive FIFO matching
-        pending: dict[tuple[str, str], deque[int]] = defaultdict(deque)
-        for ts, sender, receiver in usable:
-            queue = pending.get((receiver, sender))
-            if queue and ts > queue[0]:
-                delays.append(float(ts - queue.popleft()))
-            pending[sender, receiver].append(ts)
-        unanswered = sum(len(q) for q in pending.values())
-    if not delays:
+        answered, gaps = _first_responses(times, senders, receivers, width)
+        delays = gaps[answered].astype(float)
+        unanswered = int(answered.size - delays.size)
+    else:
+        delays, unanswered = _exclusive_responses(
+            times, senders * width + receivers, receivers * width + senders
+        )
+    if not delays.size:
         raise DegenerateDataError("no reply delays could be extracted")
     return ReplyDelaySample(
-        delays=np.asarray(delays, dtype=float),
+        delays=delays,
         discretization=discretization,
         rule=rule,
         self_messages_dropped=self_dropped,
         messages_unanswered=unanswered,
     )
+
+
+def _tuple_order(times, senders, receivers):
+    """The permutation that sorts messages by (timestamp, sender, receiver).
+
+    Sort by time alone, then re-sort by all three keys only the messages
+    that share a timestamp: with few ties that is far cheaper than a
+    three-key lexsort.  Messages equal in all three keys are
+    interchangeable, so the time sort need not be stable.
+    """
+    order = np.argsort(times)
+    sorted_times = times[order]
+    tie = sorted_times[1:] == sorted_times[:-1]
+    shared = np.zeros(times.size, dtype=bool)
+    shared[1:] = tie
+    shared[:-1] |= tie
+    at = np.flatnonzero(shared)
+    tied = order[at]
+    order[at] = tied[np.lexsort((receivers[tied], senders[tied], times[tied]))]
+    return order
+
+
+def _first_responses(times, senders, receivers, width):
+    """Whether each message has a later reply, and the gap to the first one.
+
+    The messages come in time order.  Sorted stably by conversation (the
+    unordered pair), each conversation's messages stay in time order; a
+    message's reply is the first message in the other direction past the
+    run of messages at its own time.  A run that spills into the next
+    conversation does so only where the message's own conversation has
+    no later message.  The gaps are uint64: a reply is later than its
+    message, so the difference of the int64 times is exact even where it
+    exceeds the int64 range.
+    """
+    n = times.size
+    conversation = np.minimum(senders, receivers) * width + np.maximum(senders, receivers)
+    by_conversation = np.argsort(conversation, kind="stable")
+    conversation = conversation[by_conversation]
+    times = times[by_conversation]
+    forward = (senders < receivers)[by_conversation]
+    new_run = np.empty(n, dtype=bool)
+    new_run[:1] = True
+    new_run[1:] = times[1:] != times[:-1]
+    # first position past each message's run; n past the last run
+    past_run = np.append(np.flatnonzero(new_run)[1:], n)[np.cumsum(new_run) - 1]
+    reply = np.where(forward, _next_at(~forward)[past_run], _next_at(forward)[past_run])
+    found = reply < n
+    reply[~found] = 0
+    found &= conversation[reply] == conversation
+    answered = np.empty(n, dtype=bool)
+    answered[by_conversation] = found
+    gaps = np.empty(n, dtype=np.uint64)
+    gaps[by_conversation] = times[reply].view(np.uint64) - times.view(np.uint64)
+    return answered, gaps
+
+
+def _next_at(mask):
+    """For each position p in 0..len(mask), the first q >= p with mask[q], else len(mask)."""
+    n = mask.size
+    nearest = np.where(mask, np.arange(n), n)
+    return np.minimum.accumulate(np.append(nearest, n)[::-1])[::-1]
+
+
+def _exclusive_responses(times, pair, reverse):
+    """FIFO matching over time-ordered messages: (delays, messages left pending)."""
+    pending: dict[int, deque[int]] = defaultdict(deque)
+    gaps: list[int] = []
+    for ts, key, reverse_key in zip(times.tolist(), pair.tolist(), reverse.tolist()):
+        queue = pending.get(reverse_key)
+        if queue and ts > queue[0]:
+            gaps.append(ts - queue.popleft())
+        pending[key].append(ts)
+    return np.array(gaps, dtype=float), sum(map(len, pending.values()))
 
 
 def discretize(sample: ReplyDelaySample) -> CountSample:
@@ -262,13 +349,17 @@ def save_counts(path, sample: CountSample) -> None:
     values = sample.values
     if sample.weights is not None:
         values = np.repeat(values, sample.weights)
-    with open(path, "w", encoding="utf-8") as fh:
-        for val in values:
-            fh.write(f"{int(val)}\n")
+    _write_lines(path, values, str)
 
 
 def write_delays(path, sample: ReplyDelaySample) -> None:
     """Write one delay (seconds) per line."""
+    _write_lines(path, sample.delays, repr)
+
+
+def _write_lines(path, values: np.ndarray, fmt) -> None:
+    """Write ``fmt`` of each value, one per line, a block of values at a time."""
     with open(path, "w", encoding="utf-8") as fh:
-        for d in sample.delays:
-            fh.write(repr(float(d)) + "\n")
+        for start in range(0, values.size, _WRITE_BLOCK):
+            block = values[start : start + _WRITE_BLOCK].tolist()
+            fh.write("\n".join(map(fmt, block)) + "\n")

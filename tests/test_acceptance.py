@@ -380,9 +380,9 @@ def test_c12_ingest_golden_fixture(tmp_path):
             "130,carol,dave\n200,dave,carol\n300,eve,frank\n"
         )
         parsed = lm.parse_message_log(log)
-        first = lm.extract_reply_delays(parsed.events, rule="first-response")
+        first = lm.extract_reply_delays(parsed, rule="first-response")
         assert sorted(first.delays) == [60.0, 70.0, 100.0]
         assert sorted(lm.discretize(first).values) == [1, 2, 2]
-        excl = lm.extract_reply_delays(parsed.events, rule="exclusive")
+        excl = lm.extract_reply_delays(parsed, rule="exclusive")
         assert sorted(excl.delays) == [60.0, 100.0]
         assert sorted(lm.discretize(excl).values) == [1, 2]

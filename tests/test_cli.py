@@ -450,6 +450,13 @@ class TestMalformedInput:
         assert main(["replies", str(path)]) == 2
         assert "not UTF-8" in capsys.readouterr().err
 
+    def test_replies_out_of_range_timestamps_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "wide.csv"
+        path.write_text(f"{2**63},a,b\n{-(2**63) - 1},b,a\n")
+        assert main(["replies", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "no parseable rows" in err and "Traceback" not in err
+
     # the bad byte lies past the first read buffer, so it is decoded only
     # after many rows have been parsed
     @pytest.mark.parametrize(

@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reply_oracle
 from lomaxmix import (
     CountSample,
     DegenerateDataError,
     DomainError,
     InputFormatError,
     LomaxMixError,
-    MessageEvent,
     ReplyDelaySample,
     discretize,
     extract_reply_delays,
@@ -21,81 +21,134 @@ from lomaxmix import (
     parse_message_log,
     save_counts,
 )
+from lomaxmix.ingest import write_delays
 
 # two answered conversations plus one message that never gets a reply
 SIX_MESSAGE_LOG = [
-    MessageEvent(0, "alice", "bob"),
-    MessageEvent(60, "bob", "alice"),
-    MessageEvent(100, "carol", "dave"),
-    MessageEvent(130, "carol", "dave"),
-    MessageEvent(200, "dave", "carol"),
-    MessageEvent(300, "eve", "frank"),
+    "0,alice,bob",
+    "60,bob,alice",
+    "100,carol,dave",
+    "130,carol,dave",
+    "200,dave,carol",
+    "300,eve,frank",
 ]
+
+
+def replies(lines, rule="first-response"):
+    return extract_reply_delays(parse_message_log(lines), rule=rule)
 
 
 class TestExtractReplyDelays:
     def test_simple_pair(self):
-        events = [MessageEvent(0, "A", "B"), MessageEvent(100, "B", "A")]
-        sample = extract_reply_delays(events)
+        sample = replies(["0,A,B", "100,B,A"])
         assert sorted(sample.delays) == [100.0]
 
     def test_one_reply_answers_two_messages(self):
-        events = [
-            MessageEvent(0, "A", "B"),
-            MessageEvent(50, "A", "B"),
-            MessageEvent(100, "B", "A"),
-        ]
-        sample = extract_reply_delays(events, rule="first-response")
+        lines = ["0,A,B", "50,A,B", "100,B,A"]
+        sample = replies(lines, rule="first-response")
         assert sorted(sample.delays) == [50.0, 100.0]
-        exclusive = extract_reply_delays(events, rule="exclusive")
+        exclusive = replies(lines, rule="exclusive")
         assert sorted(exclusive.delays) == [100.0]
 
     def test_six_message_fixture_both_rules(self):
-        first = extract_reply_delays(SIX_MESSAGE_LOG, rule="first-response")
+        first = replies(SIX_MESSAGE_LOG, rule="first-response")
         assert sorted(first.delays) == [60.0, 70.0, 100.0]
-        excl = extract_reply_delays(SIX_MESSAGE_LOG, rule="exclusive")
+        excl = replies(SIX_MESSAGE_LOG, rule="exclusive")
         assert sorted(excl.delays) == [60.0, 100.0]
 
     def test_row_order_invariance(self):
         # delays come out in (timestamp, sender, receiver) order of the
         # asking message whatever the row order, and are written that way
         rng = np.random.default_rng(4)
-        base = extract_reply_delays(SIX_MESSAGE_LOG)
+        base = replies(SIX_MESSAGE_LOG)
         assert base.delays.tolist() == [60.0, 100.0, 70.0]
         for _ in range(10):
             perm = list(SIX_MESSAGE_LOG)
             rng.shuffle(perm)
-            assert extract_reply_delays(perm).delays.tolist() == base.delays.tolist()
-        excl_base = extract_reply_delays(SIX_MESSAGE_LOG, rule="exclusive")
+            assert replies(perm).delays.tolist() == base.delays.tolist()
+        excl_base = replies(SIX_MESSAGE_LOG, rule="exclusive")
         for _ in range(10):
             perm = list(SIX_MESSAGE_LOG)
             rng.shuffle(perm)
-            got = extract_reply_delays(perm, rule="exclusive")
+            got = replies(perm, rule="exclusive")
             assert got.delays.tolist() == excl_base.delays.tolist()
 
     def test_self_messages_dropped_with_counter(self):
-        events = [
-            MessageEvent(0, "A", "A"),
-            MessageEvent(1, "A", "B"),
-            MessageEvent(5, "B", "A"),
-        ]
-        sample = extract_reply_delays(events)
+        sample = replies(["0,A,A", "1,A,B", "5,B,A"])
         assert sample.self_messages_dropped == 1
         assert sorted(sample.delays) == [4.0]
 
     def test_no_delays_is_an_error(self):
         with pytest.raises(DegenerateDataError):
-            extract_reply_delays([MessageEvent(0, "A", "B")])
+            replies(["0,A,B"])
+        with pytest.raises(DegenerateDataError):
+            replies(["0,A,A", "5,B,B"])
 
     def test_reply_requires_strictly_later_timestamp(self):
-        events = [MessageEvent(5, "A", "B"), MessageEvent(5, "B", "A"), MessageEvent(9, "B", "A")]
-        sample = extract_reply_delays(events)
+        sample = replies(["5,A,B", "5,B,A", "9,B,A"])
         # the t=5 reverse message cannot answer the t=5 original
         assert sorted(sample.delays) == [4.0]
 
+    @pytest.mark.parametrize("rule", ["first-response", "exclusive"])
+    def test_delay_across_the_whole_int64_range(self, rule, tmp_path):
+        # the difference of the two int64 times is 2**64 - 1, beyond int64
+        path = tmp_path / "extremes.csv"
+        path.write_text(f"{-(2**63)},a,b\n{2**63 - 1},b,a\n")
+        sample = extract_reply_delays(parse_message_log(path), rule=rule)
+        assert sample.delays.tolist() == [float(2**64 - 1)]
+        write_delays(tmp_path / "out.delays", sample)
+        assert (tmp_path / "out.delays").read_text() == f"{float(2**64 - 1)!r}\n"
+
     def test_unknown_rule(self):
         with pytest.raises(DomainError):
-            extract_reply_delays(SIX_MESSAGE_LOG, rule="nearest")
+            extract_reply_delays(parse_message_log(SIX_MESSAGE_LOG), rule="nearest")
+
+
+# Small logs over few names with repeated timestamps and self-messages, so
+# that ties, shared reverse pairs and self-messages all occur often; the
+# names sort as "B" < "a" < "ab" < "b".
+_NAME = st.sampled_from(["a", "b", "ab", "B"])
+_ROW = st.tuples(st.integers(-3, 12), _NAME, _NAME)
+
+
+class TestMatchingOracle:
+    """Both rules agree with the tuple/bisect/deque matcher of reply_oracle."""
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(rows=st.lists(_ROW, min_size=1, max_size=40), rule=st.sampled_from(["first-response", "exclusive"]))
+    def test_agrees_with_oracle(self, rows, rule):
+        lines = [f"{t},{s},{r}" for t, s, r in rows]
+        delays, self_dropped, unanswered = reply_oracle.reply_delays(rows, rule)
+        try:
+            sample = extract_reply_delays(parse_message_log(lines), rule=rule)
+        except DegenerateDataError:
+            assert delays == []
+            return
+        assert sample.delays.tolist() == delays
+        assert sample.self_messages_dropped == self_dropped
+        assert sample.messages_unanswered == unanswered
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(
+        rows=st.lists(_ROW, min_size=2, max_size=40),
+        rule=st.sampled_from(["first-response", "exclusive"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_row_order_does_not_matter(self, rows, rule, seed):
+        lines = [f"{t},{s},{r}" for t, s, r in rows]
+        shuffled = list(lines)
+        np.random.default_rng(seed).shuffle(shuffled)
+        outcomes = []
+        for log in (lines, shuffled):
+            try:
+                sample = extract_reply_delays(parse_message_log(log), rule=rule)
+            except DegenerateDataError:
+                outcomes.append(None)
+                continue
+            outcomes.append(
+                (sample.delays.tolist(), sample.self_messages_dropped, sample.messages_unanswered)
+            )
+        assert outcomes[0] == outcomes[1]
 
 
 class TestDiscretize:
@@ -119,13 +172,22 @@ class TestParseMessageLog:
         assert log.rows_read == 3
         assert log.dropped == 1
         assert log.row_errors[0][0] == 2
-        assert len(log.events) == 2
+        assert log.timestamps.size == 2
+
+    def test_columns_intern_names_in_name_order(self):
+        log = parse_message_log(["9, zed ,amy", "3,amy,bob", "", "4,bob,zed"])
+        assert log.names == ("amy", "bob", "zed")
+        assert log.timestamps.dtype == np.int64
+        assert log.timestamps.tolist() == [9, 3, 4]
+        assert log.senders.tolist() == [2, 0, 1]
+        assert log.receivers.tolist() == [0, 1, 2]
+        assert log.rows_read == 3
 
     def test_header_and_delimiter(self, tmp_path):
         path = tmp_path / "log.tsv"
         path.write_text("ts;from;to\n0;a;b\n9;b;a\n")
         log = parse_message_log(path, delimiter=";", header=True)
-        assert len(log.events) == 2
+        assert log.timestamps.size == 2
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -139,7 +201,23 @@ class TestParseMessageLog:
         path.write_text("\n".join(rows) + "\n")
         log = parse_message_log(path)
         assert log.rows_read == len(rows)
-        assert len(log.events) + log.dropped == log.rows_read
+        assert log.timestamps.size + log.dropped == log.rows_read
+
+    def test_timestamp_outside_int64_is_row_error(self):
+        lines = [f"{2**63},a,b", f"{2**63 - 1},b,a", f"{-(2**63) - 1},a,b", f"{-(2**63)},a,b"]
+        log = parse_message_log(lines)
+        assert log.timestamps.tolist() == [2**63 - 1, -(2**63)]
+        assert log.row_errors == (
+            (1, f"timestamp {2**63} out of range"),
+            (3, f"timestamp {-(2**63) - 1} out of range"),
+        )
+        with pytest.raises(InputFormatError):
+            parse_message_log([f"{2**64},a,b"])
+
+    @pytest.mark.parametrize("delimiter", ["", "\n", ",\r"])
+    def test_delimiter_must_not_be_empty_or_break_lines(self, delimiter):
+        with pytest.raises(DomainError):
+            parse_message_log(SIX_MESSAGE_LOG, delimiter=delimiter)
 
 
 class TestCountFiles:
