@@ -9,6 +9,7 @@ degenerate result, 2 input, output or validation error.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -358,7 +359,9 @@ def _add_fit_flags(p) -> None:
     p.add_argument("--alpha", type=float, default=0.001, help="gof significance level")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every call of main."""
     parser = argparse.ArgumentParser(
         prog="lomaxmix",
         description="Fit mixtures of discrete Lomax components to heavy-tailed count data.",

@@ -146,12 +146,18 @@ class MixtureModel:
             raise ValidationError(
                 f"component weights must sum to 1 within {_WEIGHT_SUM_TOL}, got {total!r}"
             )
-        comps = tuple(sorted(comps, key=_canonical_key))
-        weights = _snap_weights_to_one([c.weight for c in comps])
-        comps = tuple(
-            LomaxComponent(weight=w, scale=c.scale, shape=c.shape)
-            for w, c in zip(weights, comps)
-        )
+        # Snapping can break a tie of weights and so the canonical order;
+        # sort and snap again (one round unless weights tie) until the order
+        # holds, so that a model built from this one's components is this model.
+        for _ in range(4):
+            comps = tuple(sorted(comps, key=_canonical_key))
+            weights = _snap_weights_to_one([c.weight for c in comps])
+            comps = tuple(
+                LomaxComponent(weight=w, scale=c.scale, shape=c.shape)
+                for w, c in zip(weights, comps)
+            )
+            if comps == tuple(sorted(comps, key=_canonical_key)):
+                break
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "_c", np.array([c.weight for c in comps]))
         object.__setattr__(self, "_b", np.array([c.scale for c in comps]))

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -65,7 +65,8 @@ class CountSample:
 
     ``values`` are the observed counts; optional ``weights`` give the
     multiplicity of each entry, so weighted and unweighted forms can
-    represent the same multiset.
+    represent the same multiset.  The sample holds read-only copies of
+    both, so its distinct-value form is computed once.
     """
 
     values: np.ndarray
@@ -85,6 +86,7 @@ class CountSample:
             vals = vals.astype(np.int64)
         if np.any(vals < 1):
             raise DomainError("sample values must be >= 1")
+        vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
         if self.weights is not None:
             w = np.asarray(self.weights)
@@ -98,6 +100,7 @@ class CountSample:
                 raise DomainError("weights must be >= 0")
             if int(w.sum()) < 1:
                 raise DegenerateDataError("total weight must be >= 1")
+            w.flags.writeable = False
             object.__setattr__(self, "weights", w)
 
     @property
@@ -108,15 +111,23 @@ class CountSample:
         return int(self.weights.sum())
 
     def distinct(self) -> tuple[np.ndarray, np.ndarray]:
-        """Sorted distinct values and their multiplicities."""
+        """Sorted distinct values and their multiplicities (read-only arrays)."""
+        return self._distinct
+
+    @cached_property
+    def _distinct(self) -> tuple[np.ndarray, np.ndarray]:
         if self.weights is None:
             vals, counts = np.unique(self.values, return_counts=True)
-            return vals, counts.astype(np.int64)
-        vals, inverse = np.unique(self.values, return_inverse=True)
-        counts = np.zeros(vals.size, dtype=np.int64)
-        np.add.at(counts, inverse, self.weights)
-        keep = counts > 0
-        return vals[keep], counts[keep]
+            counts = counts.astype(np.int64)
+        else:
+            vals, inverse = np.unique(self.values, return_inverse=True)
+            counts = np.zeros(vals.size, dtype=np.int64)
+            np.add.at(counts, inverse, self.weights)
+            keep = counts > 0
+            vals, counts = vals[keep], counts[keep]
+        vals.flags.writeable = False
+        counts.flags.writeable = False
+        return vals, counts
 
 
 @dataclass(frozen=True)

@@ -47,6 +47,9 @@ DEFAULT_DISCRETIZATION = 60.0  # seconds per count unit
 _MAX_COUNT = np.iinfo(np.int64).max  # counts are held as int64
 _MIN_TIMESTAMP, _MAX_TIMESTAMP = -(2**63), 2**63 - 1  # timestamps are held as int64
 _WRITE_BLOCK = 65_536  # values joined into one string per write
+_READ_BLOCK = 65_536  # characters of text read per block of whole lines
+# deletes every character a block of bare counts may hold
+_DIGITS_AND_BREAKS = str.maketrans("", "", "0123456789\n")
 
 
 @dataclass(frozen=True)
@@ -292,30 +295,121 @@ def discretize(sample: ReplyDelaySample) -> CountSample:
     return CountSample(k)
 
 
-def _iter_lines(source):
-    """Yield the lines of a path, or of any other iterable, one at a time."""
+def _read_blocks(source):
+    """Yield a path's text, or a line iterable's items, a block of whole lines at a time.
+
+    A block is text of about ``_READ_BLOCK`` characters ending in a line
+    break, except that the input's last line may lack one.  A path is read
+    as UTF-8 with universal newlines.  An iterable's items are its lines;
+    a block of items that are not all single lines (an item with a line
+    break before its end) is yielded as the list of items instead.
+    """
     if not isinstance(source, (str, Path)):
-        yield from source
+        items: list[str] = []
+        size = 0
+        for item in source:
+            items.append(item)
+            size += len(item)
+            if size >= _READ_BLOCK:
+                yield _join_lines(items)
+                items, size = [], 0
+        if items:
+            yield _join_lines(items)
         return
     try:
         with open(source, "r", encoding="utf-8") as fh:
-            yield from fh
+            pieces: list[str] = []  # the text after the last line break read so far
+            while chunk := fh.read(_READ_BLOCK):
+                end = chunk.rfind("\n") + 1
+                if not end:
+                    pieces.append(chunk)
+                    continue
+                pieces.append(chunk[:end])
+                yield "".join(pieces)
+                pieces = [chunk[end:]]
+            tail = "".join(pieces)  # a last line without a line break
+            if tail:
+                yield tail
     except OSError as exc:
         raise InputFormatError(f"cannot read {source}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise InputFormatError(f"{source} is not UTF-8 text: {exc}") from exc
 
 
+def _join_lines(items: list[str]):
+    """The items as one block of text if each is a single line, else the items."""
+    text = "\n".join(item[:-1] if item.endswith("\n") else item for item in items) + "\n"
+    return text if text.count("\n") == len(items) else items
+
+
+def _block_lines(block) -> list[str]:
+    """The lines of a block, without their line breaks."""
+    if isinstance(block, list):
+        return block
+    lines = block.split("\n")
+    if not lines[-1]:  # the block ends in a line break
+        lines.pop()
+    return lines
+
+
+def _iter_lines(source):
+    """Yield the lines of a path, or of any other iterable, one at a time."""
+    for block in _read_blocks(source):
+        yield from _block_lines(block)
+
+
 def load_counts(source) -> CountLoadResult:
     """Load a count file: ``unit_id,count`` rows or one bare count per line.
 
-    Zero, negative or non-integer counts are row errors (the support
-    starts at k = 1); they are tallied with line numbers and skipped.
+    Blank lines and lines starting with ``#`` are skipped.  Zero, negative
+    or non-integer counts are row errors (the support starts at k = 1);
+    they are tallied with line numbers and skipped.  A block of text that
+    holds only ASCII digits and line breaks is converted in one call; any
+    other block is parsed row by row.
     """
-    values: list[int] = []
+    columns: list[np.ndarray] = []
     errors: list[tuple[int, str]] = []
     rows = 0
-    for lineno, raw in enumerate(_iter_lines(source), start=1):
+    lineno = 0  # lines before the current block
+    for block in _read_blocks(source):
+        if isinstance(block, str) and not block.translate(_DIGITS_AND_BREAKS):
+            column = _bare_counts(block)
+            if column is not None:
+                columns.append(column)
+                rows += column.size
+                lineno += block.count("\n")
+                continue
+        lines = _block_lines(block)
+        column, block_rows = _count_rows(lines, lineno, errors)
+        columns.append(column)
+        rows += block_rows
+        lineno += len(lines)
+    if rows == 0:
+        raise InputFormatError("count file contains no rows")
+    values = np.concatenate(columns)
+    if not values.size:
+        raise DegenerateDataError(f"no usable counts out of {rows} rows")
+    return CountLoadResult(
+        sample=CountSample(values),
+        rows_read=rows,
+        row_errors=tuple(errors),
+    )
+
+
+def _bare_counts(block: str) -> np.ndarray | None:
+    """A block of digit lines as int64 counts, or None if any is out of range."""
+    try:
+        column = np.array(block.split(), dtype=np.int64)
+    except (OverflowError, ValueError):  # past int64, or past int()'s digit limit
+        return None
+    return column if np.all(column >= 1) else None
+
+
+def _count_rows(lines: list[str], lineno: int, errors: list) -> tuple[np.ndarray, int]:
+    """Parse count rows after line ``lineno``: (usable counts, rows); row errors go to ``errors``."""
+    values: list[int] = []
+    rows = 0
+    for lineno, raw in enumerate(lines, start=lineno + 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -333,15 +427,7 @@ def load_counts(source) -> CountLoadResult:
             errors.append((lineno, f"count {count} exceeds {_MAX_COUNT}"))
             continue
         values.append(count)
-    if rows == 0:
-        raise InputFormatError("count file contains no rows")
-    if not values:
-        raise DegenerateDataError(f"no usable counts out of {rows} rows")
-    return CountLoadResult(
-        sample=CountSample(np.asarray(values, dtype=np.int64)),
-        rows_read=rows,
-        row_errors=tuple(errors),
-    )
+    return np.array(values, dtype=np.int64), rows
 
 
 def save_counts(path, sample: CountSample) -> None:

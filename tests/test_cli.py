@@ -1,12 +1,17 @@
 """End-to-end command-line behavior: outputs, determinism, exit codes."""
 
+import io
 import json
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lomaxmix import (
+    CountSample,
     FitResult,
     MixtureModel,
     aic,
@@ -17,7 +22,10 @@ from lomaxmix import (
 from lomaxmix import fitting
 from lomaxmix.cli import main
 from lomaxmix.fitting import ScanResult, n_params_for_order
-from lomaxmix.report import build_report, load_report, strip_timestamps, write_report
+from lomaxmix.ingest import _READ_BLOCK
+from lomaxmix.distributions import SCALE_BOUNDS, SHAPE_BOUNDS
+from lomaxmix.report import build_report, load_report, model_from_dict, strip_timestamps, write_report
+from test_ingest import _TEXT
 
 
 def unit_model():
@@ -504,3 +512,64 @@ class TestMalformedInput:
         }[command]
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+_COMPONENT = st.tuples(
+    st.floats(1e-3, 1.0),
+    st.floats(*SCALE_BOUNDS),
+    st.floats(*SHAPE_BOUNDS),
+)
+
+
+class TestReportRoundTrip:
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(parts=st.lists(_COMPONENT, min_size=1, max_size=4))
+    def test_components_round_trip_bit_for_bit(self, parts, tmp_path_factory):
+        total = sum(w for w, _, _ in parts)
+        model = MixtureModel.from_parameters(
+            [w / total for w, _, _ in parts], [b for _, b, _ in parts], [v for _, _, v in parts]
+        )
+        n = n_params_for_order(model.order)
+        fit = FitResult(
+            model=model, log_likelihood=-1.0, n_params=n, aic=aic(-1.0, n),
+            sample_size=3, converged=True, starts_used=1, seed=0,
+        )
+        path = tmp_path_factory.mktemp("report") / "r.json"
+        write_report(path, build_report(ScanResult(fits=(fit,), best_index=0), CountSample(np.array([1, 2, 2]))))
+        loaded = model_from_dict(load_report(path)["components"])
+        as_bits = lambda m: [(c.weight.hex(), c.scale.hex(), c.shape.hex()) for c in m.components]  # noqa: E731
+        assert as_bits(loaded) == as_bits(model)
+
+
+@pytest.fixture(scope="module")
+def unit_report(tmp_path_factory):
+    path = tmp_path_factory.mktemp("unit") / "unit.json"
+    write_exact_report(unit_model(), sample_mixture(unit_model(), 1000, seed=13), path)
+    return path
+
+
+class TestArbitraryCountFiles:
+    """Every command that reads a count file ends in exit 0, 1 or 2 on any
+    file, never in a traceback."""
+
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(text=_TEXT, bad=st.sampled_from([None, None, b"\xff", b"\xc3(", b"\xed\xa0\x80"]))
+    def test_count_commands_exit_cleanly(self, text, bad, unit_report):
+        work = unit_report.parent
+        counts = work / "any.counts"
+        raw = text.encode("utf-8")
+        if bad is not None:  # undecodable bytes past the first block of text
+            raw = b"1\n" * (_READ_BLOCK // 2 + 1) + bad + raw
+        counts.write_bytes(raw)
+        fit_flags = ["--starts", "2", "--out", str(work / "any.json")]
+        for argv in (
+            ["scan", str(counts), "--m-max", "1", *fit_flags],
+            ["fit", str(counts), "--m", "1", *fit_flags],
+            ["gof", str(counts), str(unit_report)],
+            ["ccdf", str(counts), str(unit_report), "--out", str(work / "any.tsv")],
+        ):
+            err = io.StringIO()
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 1, 2), (argv[0], code, err.getvalue())
+            assert "Traceback" not in err.getvalue()

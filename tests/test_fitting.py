@@ -45,6 +45,18 @@ class TestCountSample:
         assert np.array_equal(ka, kb) and np.array_equal(ca, cb)
         assert a.size == b.size == 4
 
+    @pytest.mark.parametrize("weights", [None, np.array([2, 0, 1, 1])])
+    def test_distinct_is_computed_once_and_read_only(self, weights):
+        values = np.array([4, 9, 1, 4])
+        sample = CountSample(values, weights=weights)
+        ks, counts = sample.distinct()
+        assert sample.distinct()[0] is ks and sample.distinct()[1] is counts
+        for array in (ks, counts, sample.values):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 7
+        values[0] = 2  # the sample holds its own copy
+        assert sample.distinct()[0].tolist() == ([1, 4] if weights is not None else [1, 4, 9])
+
     def test_rejects_bad_values(self):
         with pytest.raises(DomainError):
             CountSample(np.array([0, 1]))

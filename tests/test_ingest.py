@@ -1,12 +1,14 @@
 """Message-log parsing, reply matching, discretization, count files."""
 
 import io
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import count_oracle
 import reply_oracle
 from lomaxmix import (
     CountSample,
@@ -21,7 +23,7 @@ from lomaxmix import (
     parse_message_log,
     save_counts,
 )
-from lomaxmix.ingest import write_delays
+from lomaxmix.ingest import _READ_BLOCK, write_delays
 
 # two answered conversations plus one message that never gets a reply
 SIX_MESSAGE_LOG = [
@@ -288,3 +290,92 @@ class TestArbitraryInput:
             parse_message_log(io.StringIO(text), delimiter=delimiter, header=header)
         except LomaxMixError:
             pass
+
+
+# Count lines the fast block path must leave to the row parser: zero,
+# signs, underscores and non-ASCII digits (int() takes the last three),
+# counts either side of the int64 limit, comments, unit ids, padding that
+# str.strip() removes and int() rejects ("\x1c"), two counts on one line,
+# and arbitrary text.  A line of a line list may hold a line break.
+_ODD_COUNT = st.sampled_from(
+    ["0", "007", "+4", "-3", "1_0", "\u0663", "\x1c5\x1c", " 5 ", "5 6", "5\x1c6", "", "#", "# 5",
+     "a,5", "a,0", "5,", "1\n2", "# x\n5", str(2**63 - 1), str(2**63), "9" * 19, "1" + "0" * 19,
+     "9" * 20, "1" * 5000]
+)
+_COUNT_LINE = st.one_of(st.integers(1, 10**6).map(str), _ODD_COUNT, _LINE)
+
+
+@st.composite
+def _count_input(draw):
+    """(kind, file text, lines) of a count input; the drawn lines may sit
+    just before, across or just after the end of the first block."""
+    kind = draw(st.sampled_from(["path", "stringio", "list"]))
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    filler = draw(st.sampled_from(["12", "123456", "1234567890123"]))
+    drawn = draw(st.lists(_COUNT_LINE, min_size=1, max_size=4))
+    before = 0
+    if draw(st.booleans()):
+        # a path block holds _READ_BLOCK characters after newline
+        # translation; an iterable block ends at the item that reaches it
+        if kind == "path":
+            edge = _READ_BLOCK // (len(filler) + 1)
+        else:
+            edge = math.ceil(_READ_BLOCK / (len(filler) + len(eol))) - 1
+        before = edge + draw(st.integers(-2, 2))
+    after = draw(st.sampled_from([0, 2]))
+    lines = [filler] * before + drawn + [filler] * after
+    text = eol.join(lines) + draw(st.sampled_from([eol, ""]))
+    return kind, text, lines
+
+
+def _outcome(load, source):
+    try:
+        result = load(source)
+    except LomaxMixError as exc:
+        return type(exc)
+    return result.sample.values.tolist(), result.rows_read, result.row_errors
+
+
+class TestCountOracle:
+    """load_counts agrees with the row-by-row loader of count_oracle."""
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(case=_count_input())
+    def test_agrees_with_oracle(self, case, tmp_path_factory):
+        kind, text, lines = case
+        if kind == "path":
+            path = tmp_path_factory.mktemp("counts") / "c.counts"
+            path.write_bytes(text.encode("utf-8"))
+            sources = lambda: path  # noqa: E731
+        elif kind == "stringio":
+            sources = lambda: io.StringIO(text)  # noqa: E731
+        else:
+            sources = lambda: list(lines)  # noqa: E731
+        assert _outcome(load_counts, sources()) == _outcome(count_oracle.load_counts, sources())
+
+    @pytest.mark.parametrize("items", [["1\n2", "5"], ["5\n", "# x\n5", "3"], ["4\r\n", "\n\n", "4"]])
+    def test_line_items_holding_a_line_break(self, items):
+        # an item is one line, whatever it holds
+        assert _outcome(load_counts, items) == _outcome(count_oracle.load_counts, items)
+
+    @pytest.mark.parametrize("at", [-1, 0, 1])
+    def test_bad_byte_near_the_first_block_end(self, tmp_path, at):
+        # a 0xff byte decodes to nothing, at any position
+        raw = bytearray(b"12\n" * (_READ_BLOCK // 3 + 5))
+        raw[_READ_BLOCK + at] = 0xFF
+        path = tmp_path / "bad.counts"
+        path.write_bytes(bytes(raw))
+        with pytest.raises(InputFormatError, match="not UTF-8"):
+            load_counts(path)
+        with pytest.raises(InputFormatError, match="not UTF-8"):
+            count_oracle.load_counts(path)
+
+    def test_row_errors_keep_absolute_line_numbers(self, tmp_path):
+        lines = ["7"] * (3 * _READ_BLOCK // 2) + ["# note", "x", "0"] + ["7"] * 10
+        path = tmp_path / "c.counts"
+        path.write_text("\n".join(lines))
+        result = load_counts(path)
+        first = 3 * _READ_BLOCK // 2 + 2
+        assert result.row_errors == ((first, "non-integer count 'x'"), (first + 1, "count must be >= 1, got 0"))
+        assert result.rows_read == len(lines) - 1
+        assert result.sample.values.size == len(lines) - 3
