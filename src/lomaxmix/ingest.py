@@ -5,20 +5,20 @@ rules are provided:
 
 * ``first-response`` (default): the delay of a message A->B at t1 is
   t2 - t1 for the earliest B->A message with t2 > t1; one reply may
-  answer several prior messages.
+  answer several prior messages.  Delays follow the asking messages.
 * ``exclusive``: replies are consumed FIFO, each answering at most one
-  pending message.
+  pending message.  Delays follow the replies.
 
-Both are order-independent (messages are sorted internally) and drop
-self-messages with a counter.  Parsing streams the lines into int64
-columns, with sender and receiver names interned to int ids; it never
-discards rows silently: malformed rows are tallied with their line
-numbers and processing continues.
+Both sort messages by (timestamp, sender, receiver), whatever the row
+order, and drop self-messages with a counter.  Parsing streams the
+lines into int64 columns, with sender and receiver names interned to
+int ids; it never discards rows silently: malformed rows are tallied
+with their line numbers and processing continues.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -46,7 +46,7 @@ DEFAULT_DISCRETIZATION = 60.0  # seconds per count unit
 
 _MAX_COUNT = np.iinfo(np.int64).max  # counts are held as int64
 _MIN_TIMESTAMP, _MAX_TIMESTAMP = -(2**63), 2**63 - 1  # timestamps are held as int64
-_WRITE_BLOCK = 65_536  # values joined into one string per write
+_WRITE_BLOCK = 65_536  # values formatted per write
 _READ_BLOCK = 65_536  # characters of text read per block of whole lines
 # deletes every character a block of bare counts may hold
 _DIGITS_AND_BREAKS = str.maketrans("", "", "0123456789\n")
@@ -181,30 +181,23 @@ def extract_reply_delays(
 
     Self-messages are dropped (counted); messages that never see a later
     reverse-direction message contribute nothing.  Delays come out in
-    (timestamp, sender, receiver) order of the message they answer,
-    whatever the row order.  An empty result raises, since downstream
-    fitting has nothing to work with.
+    (timestamp, sender, receiver) order, whatever the row order: of the
+    message they answer under first-response, of the reply under
+    exclusive.  An empty result raises, since downstream fitting has
+    nothing to work with.
     """
     if rule not in REPLY_RULES:
         raise DomainError(f"rule must be one of {REPLY_RULES}, got {rule!r}")
     usable = log.senders != log.receivers
     self_dropped = int(usable.size - np.count_nonzero(usable))
-    times = log.timestamps[usable]
-    senders = log.senders[usable]
-    receivers = log.receivers[usable]
-    order = _tuple_order(times, senders, receivers)
-    times, senders, receivers = times[order], senders[order], receivers[order]
-    # a pair of ids (a, b) becomes the int key a * width + b, which fits
-    # int64 while there are fewer than 3e9 names
-    width = len(log.names)
-    if rule == "first-response":
-        answered, gaps = _first_responses(times, senders, receivers, width)
-        delays = gaps[answered].astype(float)
-        unanswered = int(answered.size - delays.size)
-    else:
-        delays, unanswered = _exclusive_responses(
-            times, senders * width + receivers, receivers * width + senders
-        )
+    columns = log.timestamps[usable], log.senders[usable], log.receivers[usable]
+    order = _tuple_order(*columns)
+    by_conversation, *conversations = _conversations(*(c[order] for c in columns), len(log.names))
+    match = _first_responses if rule == "first-response" else _exclusive_responses
+    matched, gaps = match(*conversations)
+    at = np.empty_like(by_conversation)  # the sorted position of each message in tuple order
+    at[by_conversation] = np.arange(at.size)
+    delays = gaps[at[matched[at]]].astype(float)
     if not delays.size:
         raise DegenerateDataError("no reply delays could be extracted")
     return ReplyDelaySample(
@@ -212,7 +205,7 @@ def extract_reply_delays(
         discretization=discretization,
         rule=rule,
         self_messages_dropped=self_dropped,
-        messages_unanswered=unanswered,
+        messages_unanswered=int(matched.size - delays.size),
     )
 
 
@@ -236,38 +229,42 @@ def _tuple_order(times, senders, receivers):
     return order
 
 
-def _first_responses(times, senders, receivers, width):
+def _conversations(times, senders, receivers, width):
+    """Sort time-ordered messages stably by conversation: the pair of ids a < b.
+
+    Returns the permutation and, per sorted message, its conversation (the
+    key a * width + b fits int64 while there are fewer than 3e9 names),
+    time, whether it goes from a to b, and whether it starts a run: the
+    messages of its conversation at its time.
+    """
+    conversation = np.minimum(senders, receivers) * width + np.maximum(senders, receivers)
+    # stable radix passes over the key's 16-bit digits, which numpy sorts in linear time
+    order = np.argsort(conversation.astype(np.uint16), kind="stable")
+    for shift in range(16, int(conversation.max(initial=0)).bit_length(), 16):
+        order = order[np.argsort((conversation[order] >> shift).astype(np.uint16), kind="stable")]
+    conversation, times = conversation[order], times[order]
+    new_run = np.ones(times.size, dtype=bool)
+    new_run[1:] = (times[1:] != times[:-1]) | (conversation[1:] != conversation[:-1])
+    forward = (senders < receivers)[order]
+    return order, conversation, times, forward, new_run
+
+
+def _first_responses(conversation, times, forward, new_run):
     """Whether each message has a later reply, and the gap to the first one.
 
-    The messages come in time order.  Sorted stably by conversation (the
-    unordered pair), each conversation's messages stay in time order; a
-    message's reply is the first message in the other direction past the
-    run of messages at its own time.  A run that spills into the next
-    conversation does so only where the message's own conversation has
-    no later message.  The gaps are uint64: a reply is later than its
-    message, so the difference of the int64 times is exact even where it
-    exceeds the int64 range.
+    A message's reply is the first message in the other direction of its
+    conversation past its run.  The gaps are uint64: a reply is later
+    than its message, so the difference of the int64 times is exact even
+    where it exceeds the int64 range.
     """
     n = times.size
-    conversation = np.minimum(senders, receivers) * width + np.maximum(senders, receivers)
-    by_conversation = np.argsort(conversation, kind="stable")
-    conversation = conversation[by_conversation]
-    times = times[by_conversation]
-    forward = (senders < receivers)[by_conversation]
-    new_run = np.empty(n, dtype=bool)
-    new_run[:1] = True
-    new_run[1:] = times[1:] != times[:-1]
     # first position past each message's run; n past the last run
     past_run = np.append(np.flatnonzero(new_run)[1:], n)[np.cumsum(new_run) - 1]
     reply = np.where(forward, _next_at(~forward)[past_run], _next_at(forward)[past_run])
     found = reply < n
     reply[~found] = 0
     found &= conversation[reply] == conversation
-    answered = np.empty(n, dtype=bool)
-    answered[by_conversation] = found
-    gaps = np.empty(n, dtype=np.uint64)
-    gaps[by_conversation] = times[reply].view(np.uint64) - times.view(np.uint64)
-    return answered, gaps
+    return found, times[reply].view(np.uint64) - times.view(np.uint64)
 
 
 def _next_at(mask):
@@ -277,16 +274,36 @@ def _next_at(mask):
     return np.minimum.accumulate(np.append(nearest, n)[::-1])[::-1]
 
 
-def _exclusive_responses(times, pair, reverse):
-    """FIFO matching over time-ordered messages: (delays, messages left pending)."""
-    pending: dict[int, deque[int]] = defaultdict(deque)
-    gaps: list[int] = []
-    for ts, key, reverse_key in zip(times.tolist(), pair.tolist(), reverse.tolist()):
-        queue = pending.get(reverse_key)
-        if queue and ts > queue[0]:
-            gaps.append(ts - queue.popleft())
-        pending[key].append(ts)
-    return np.array(gaps, dtype=float), sum(map(len, pending.values()))
+def _exclusive_responses(conversation, times, forward, new_run):
+    """Whether each message answers a pending one FIFO, and the gap to it.
+
+    A message pops the oldest pending message of the other direction of
+    its conversation if that one is strictly earlier, then is pushed.  So
+    for the i-th message of a direction of a conversation, with e_i the
+    other direction's messages before its run, the pops up to it are
+    P_i = min(e_i, P_(i-1) + 1) = i + min(0, min_(l<=i) e_l - l), a
+    cumulative minimum that each conversation starts over.  It pops where
+    P_i > P_(i-1), and answers the other direction's P_i-th message.
+    """
+    n = times.size
+    new_conversation = np.diff(conversation, prepend=-1) != 0
+    segment = np.cumsum(new_conversation) - 1
+    first = np.flatnonzero(new_conversation)[segment]  # the conversation's first position
+    run_start = np.flatnonzero(new_run)[np.cumsum(new_run) - 1]
+    shift = segment * (2 * n + 1)  # puts each conversation's e_l - l below the one before
+    ahead = np.append(0, np.cumsum(forward))  # forward messages before each position
+    matched, gaps = np.zeros(n, dtype=bool), np.zeros(n, dtype=np.uint64)
+    for own, count in ((forward, lambda at: at - ahead[at]), (~forward, ahead.__getitem__)):
+        mine, theirs = np.flatnonzero(own), np.flatnonzero(~own)
+        their_first = count(first[mine])  # count: their messages before given positions
+        earlier = count(run_start[mine]) - their_first
+        index = np.arange(1, mine.size + 1) - (first[mine] - their_first)  # 1-based
+        pops = index + np.minimum(0, np.minimum.accumulate(earlier - index - shift[mine]) + shift[mine])
+        pop = pops > np.where(index == 1, 0, np.roll(pops, 1))
+        reply, answered = mine[pop], theirs[their_first[pop] + pops[pop] - 1]
+        matched[reply] = True
+        gaps[reply] = times[reply].view(np.uint64) - times[answered].view(np.uint64)
+    return matched, gaps
 
 
 def discretize(sample: ReplyDelaySample) -> CountSample:
@@ -435,17 +452,40 @@ def save_counts(path, sample: CountSample) -> None:
     values = sample.values
     if sample.weights is not None:
         values = np.repeat(values, sample.weights)
-    _write_lines(path, values, str)
+    _write_lines(path, values)
 
 
 def write_delays(path, sample: ReplyDelaySample) -> None:
-    """Write one delay (seconds) per line."""
-    _write_lines(path, sample.delays, repr)
+    """Write one delay (seconds) per line, as ``repr`` prints it."""
+    _write_lines(path, sample.delays)
 
 
-def _write_lines(path, values: np.ndarray, fmt) -> None:
-    """Write ``fmt`` of each value, one per line, a block of values at a time."""
-    with open(path, "w", encoding="utf-8") as fh:
+def _write_lines(path, values: np.ndarray) -> None:
+    """Write ``str`` of each int, or ``repr`` of each float, one per line.
+
+    A block of ints, or of non-negative integral floats below 1e16 (which
+    ``repr`` prints as ``<int>.0``), is written from a grid of digits.
+    """
+    with open(path, "wb") as fh:
         for start in range(0, values.size, _WRITE_BLOCK):
-            block = values[start : start + _WRITE_BLOCK].tolist()
-            fh.write("\n".join(map(fmt, block)) + "\n")
+            block = values[start : start + _WRITE_BLOCK]
+            if block.dtype.kind == "i":
+                fh.write(_digit_lines(block, b"\n"))
+            elif np.all((block == np.floor(block)) & (block < 1e16) & ~np.signbit(block)):
+                fh.write(_digit_lines(block.astype(np.int64), b".0\n"))
+            else:
+                fh.write(("\n".join(map(repr, block.tolist())) + "\n").encode("ascii"))
+
+
+def _digit_lines(values: np.ndarray, suffix: bytes) -> bytes:
+    """The decimal digits of each non-negative int64 value followed by ``suffix``, as ASCII."""
+    width = len(str(values.max()))
+    grid = np.empty((values.size, width + len(suffix)), dtype=np.uint8)
+    grid[:, width:] = np.frombuffer(suffix, dtype=np.uint8)
+    keep = np.ones(grid.shape, dtype=bool)  # False on the leading zeros
+    rest = values.copy()
+    for column in range(width - 1, -1, -1):
+        keep[:, column] = (rest > 0) | (column == width - 1)
+        grid[:, column] = rest % 10 + ord("0")
+        rest //= 10
+    return grid[keep].tobytes()

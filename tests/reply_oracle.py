@@ -11,7 +11,11 @@ from collections import defaultdict, deque
 
 
 def reply_delays(events, rule):
-    """(delays in tuple order of the asking message, self-messages, unanswered)."""
+    """(delays, self-messages, unanswered).
+
+    The delays come in (timestamp, sender, receiver) order of the asking
+    message under first-response, and of the reply under exclusive.
+    """
     usable = sorted(ev for ev in events if ev[1] != ev[2])
     self_dropped = len(events) - len(usable)
     delays = []

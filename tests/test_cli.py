@@ -25,7 +25,7 @@ from lomaxmix.fitting import ScanResult, n_params_for_order
 from lomaxmix.ingest import _READ_BLOCK
 from lomaxmix.distributions import SCALE_BOUNDS, SHAPE_BOUNDS
 from lomaxmix.report import build_report, load_report, model_from_dict, strip_timestamps, write_report
-from test_ingest import _TEXT
+from test_ingest import _LINE, _ROW, _TEXT
 
 
 def unit_model():
@@ -573,3 +573,39 @@ class TestArbitraryCountFiles:
                 code = main(argv)
             assert code in (0, 1, 2), (argv[0], code, err.getvalue())
             assert "Traceback" not in err.getvalue()
+
+
+# Log lines: rows of a small message log (three in four lines) mixed with
+# arbitrary text.
+_LOG_ROW = _ROW.map(lambda row: ",".join(map(str, row)))
+_LOG_TEXT = st.lists(st.one_of(_LOG_ROW, _LOG_ROW, _LOG_ROW, _LINE), max_size=16).map("\n".join)
+
+
+class TestArbitraryLogs:
+    """replies ends in exit 0, 1 or 2 on any log under either rule, never in
+    a traceback, and writes both outputs or neither."""
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(
+        text=_LOG_TEXT,
+        bad=st.sampled_from([None, None, b"\xff", b"\xc3(", b"\xed\xa0\x80"]),
+        rule=st.sampled_from(["first-response", "exclusive"]),
+        answered=st.booleans(),
+    )
+    def test_replies_exits_cleanly(self, text, bad, rule, answered, tmp_path_factory):
+        work = tmp_path_factory.mktemp("replies")
+        log = work / "any.csv"
+        raw = text.encode("utf-8")
+        if answered:  # one message with a reply, so that most of these logs succeed
+            raw = b"0,x,y\n1,y,x\n" + raw
+        if bad is not None:  # undecodable bytes past the first block of text
+            raw = b"1,a,b\n2,b,a\n" * (_READ_BLOCK // 12 + 1) + bad + raw
+        log.write_bytes(raw)
+        delays, counts = work / "d.out", work / "c.out"
+        argv = ["replies", str(log), "--rule", rule, "--out-delays", str(delays), "--out-counts", str(counts)]
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2), (code, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        assert delays.exists() == counts.exists() == (code == 0)

@@ -23,7 +23,7 @@ from lomaxmix import (
     parse_message_log,
     save_counts,
 )
-from lomaxmix.ingest import _READ_BLOCK, write_delays
+from lomaxmix.ingest import _READ_BLOCK, _WRITE_BLOCK, write_delays
 
 # two answered conversations plus one message that never gets a reply
 SIX_MESSAGE_LOG = [
@@ -75,6 +75,13 @@ class TestExtractReplyDelays:
             got = replies(perm, rule="exclusive")
             assert got.delays.tolist() == excl_base.delays.tolist()
 
+    def test_delay_order_follows_the_rule(self):
+        # first-response lists delays by the message they answer, exclusive
+        # by the reply: A->B at 1 is answered at 4, C->D at 2 at 3
+        lines = ["1,A,B", "2,C,D", "3,D,C", "4,B,A"]
+        assert replies(lines).delays.tolist() == [3.0, 1.0]
+        assert replies(lines, rule="exclusive").delays.tolist() == [1.0, 3.0]
+
     def test_self_messages_dropped_with_counter(self):
         sample = replies(["0,A,A", "1,A,B", "5,B,A"])
         assert sample.self_messages_dropped == 1
@@ -111,6 +118,24 @@ class TestExtractReplyDelays:
 # names sort as "B" < "a" < "ab" < "b".
 _NAME = st.sampled_from(["a", "b", "ab", "B"])
 _ROW = st.tuples(st.integers(-3, 12), _NAME, _NAME)
+# Long logs over three names and six timestamps: most messages share their
+# timestamp with others, and FIFO queues grow long.
+_TIED_ROW = st.tuples(st.integers(0, 5), st.sampled_from(["a", "b", "c"]), st.sampled_from(["a", "b", "c"]))
+
+
+def _assert_agrees_with_oracle(rows, rule):
+    lines = [f"{t},{s},{r}" for t, s, r in rows]
+    delays, self_dropped, unanswered = reply_oracle.reply_delays(rows, rule)
+    try:
+        sample = extract_reply_delays(parse_message_log(lines), rule=rule)
+    except DegenerateDataError:
+        assert delays == []
+        return
+    assert sample.delays.tolist() == delays
+    assert sample.self_messages_dropped == self_dropped
+    assert sample.messages_unanswered == unanswered
+    # every usable message either got a delay or is counted unanswered
+    assert sample.messages_unanswered == len(rows) - self_dropped - sample.delays.size
 
 
 class TestMatchingOracle:
@@ -119,16 +144,38 @@ class TestMatchingOracle:
     @settings(max_examples=300, deadline=None, database=None)
     @given(rows=st.lists(_ROW, min_size=1, max_size=40), rule=st.sampled_from(["first-response", "exclusive"]))
     def test_agrees_with_oracle(self, rows, rule):
-        lines = [f"{t},{s},{r}" for t, s, r in rows]
-        delays, self_dropped, unanswered = reply_oracle.reply_delays(rows, rule)
-        try:
-            sample = extract_reply_delays(parse_message_log(lines), rule=rule)
-        except DegenerateDataError:
-            assert delays == []
-            return
-        assert sample.delays.tolist() == delays
-        assert sample.self_messages_dropped == self_dropped
-        assert sample.messages_unanswered == unanswered
+        _assert_agrees_with_oracle(rows, rule)
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(rows=st.lists(_TIED_ROW, min_size=1, max_size=200))
+    def test_exclusive_on_ties_and_long_queues(self, rows):
+        _assert_agrees_with_oracle(rows, "exclusive")
+
+    @pytest.mark.parametrize("rule", ["first-response", "exclusive"])
+    def test_conversation_keys_wider_than_16_bits(self, rule):
+        # With 512 names a pair (a, b) has the key a * 512 + b, so the pairs
+        # (a, 500) and (a + 128, 500) share their low 16 bits: the
+        # conversation sort must take a second radix pass to part them.
+        # Self-messages intern all 512 names.
+        names = [f"u{i:03d}" for i in range(512)]
+        rng = np.random.default_rng(5)
+        rows = [(0, name, name) for name in names]
+        for _ in range(400):
+            a = int(rng.integers(0, 4)) + 128 * int(rng.integers(0, 2))
+            pair = (names[a], names[500]) if rng.integers(2) else (names[500], names[a])
+            rows.append((int(rng.integers(0, 60)), *pair))
+        _assert_agrees_with_oracle(rows, rule)
+
+    def test_exclusive_pops_nothing_within_one_timestamp(self):
+        # a reply must be strictly later than the message it answers
+        tied = [(5, "a", "b"), (5, "b", "a"), (5, "b", "a"), (5, "a", "b")]
+        with pytest.raises(DegenerateDataError):
+            replies([f"{t},{s},{r}" for t, s, r in tied], rule="exclusive")
+        rows = tied + [(0, "c", "d"), (1, "d", "c")]
+        sample = replies([f"{t},{s},{r}" for t, s, r in rows], rule="exclusive")
+        assert sample.delays.tolist() == [1.0]
+        assert sample.messages_unanswered == 5
+        _assert_agrees_with_oracle(rows, "exclusive")
 
     @settings(max_examples=150, deadline=None, database=None)
     @given(
@@ -151,6 +198,54 @@ class TestMatchingOracle:
                 (sample.delays.tolist(), sample.self_messages_dropped, sample.messages_unanswered)
             )
         assert outcomes[0] == outcomes[1]
+
+
+def _reference_lines(values, fmt) -> bytes:
+    """The writers' output in its direct form: ``fmt`` of each value,
+    joined one block of values at a time."""
+    blocks = (values[i : i + _WRITE_BLOCK].tolist() for i in range(0, values.size, _WRITE_BLOCK))
+    return b"".join(("\n".join(map(fmt, block)) + "\n").encode("ascii") for block in blocks)
+
+
+_COUNT = st.one_of(
+    st.integers(1, 2**63 - 1), st.integers(1, 1000), st.sampled_from([1, 9, 10, 99, 100, 2**63 - 1])
+)
+_DELAY = st.one_of(
+    st.floats(0.0, 1e300),
+    st.integers(0, 2**64).map(float),
+    st.integers(0, 10**6).map(float),
+    st.sampled_from([0.0, -0.0, 0.5, 1e16, 1e16 - 2, float(2**53 + 1), float(2**64 - 1)]),
+)
+
+
+class TestWriters:
+    """save_counts and write_delays write what str and repr print."""
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(counts=st.lists(_COUNT, min_size=1, max_size=50), delays=st.lists(_DELAY, min_size=1, max_size=50))
+    def test_bytes_equal_str_and_repr(self, counts, delays, tmp_path_factory):
+        path = tmp_path_factory.mktemp("writers") / "out"
+        sample = CountSample(np.array(counts, dtype=np.int64))
+        save_counts(path, sample)
+        assert path.read_bytes() == _reference_lines(sample.values, str)
+        reply = ReplyDelaySample(delays=np.array(delays))
+        write_delays(path, reply)
+        assert path.read_bytes() == _reference_lines(reply.delays, repr)
+
+    @pytest.mark.parametrize("size", [_WRITE_BLOCK, _WRITE_BLOCK + 1])
+    @pytest.mark.parametrize("odd_at", [None, 0, -1])
+    def test_block_edges(self, tmp_path, size, odd_at):
+        # the last value may fall in a block of its own; one value that
+        # repr prints another way sends only its block down the repr path
+        counts = np.arange(1, size + 1, dtype=np.int64) * 997
+        delays = counts.astype(float)
+        if odd_at is not None:
+            delays[odd_at] = 0.5
+            counts[odd_at] = 2**63 - 1
+        save_counts(tmp_path / "c", CountSample(counts))
+        assert (tmp_path / "c").read_bytes() == _reference_lines(counts, str)
+        write_delays(tmp_path / "d", ReplyDelaySample(delays=delays))
+        assert (tmp_path / "d").read_bytes() == _reference_lines(delays, repr)
 
 
 class TestDiscretize:
