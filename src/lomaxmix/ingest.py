@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -48,8 +49,9 @@ _MAX_COUNT = np.iinfo(np.int64).max  # counts are held as int64
 _MIN_TIMESTAMP, _MAX_TIMESTAMP = -(2**63), 2**63 - 1  # timestamps are held as int64
 _WRITE_BLOCK = 65_536  # values formatted per write
 _READ_BLOCK = 65_536  # characters of text read per block of whole lines
-# deletes every character a block of bare counts may hold
-_DIGITS_AND_BREAKS = str.maketrans("", "", "0123456789\n")
+_FAST_DIGITS = 18  # a run of at most 18 decimal digits fits int64
+_STRIPPED = np.zeros(256, dtype=bool)  # the ASCII bytes that str.strip() removes
+_STRIPPED[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = True
 
 
 @dataclass(frozen=True)
@@ -115,19 +117,114 @@ def parse_message_log(
     Blank lines are skipped; every other row is either parsed or tallied
     as a row error.  The delimiter may not contain a line break, so only
     the receiver field can carry the line's end, which stripping removes.
+    Rows that ``_log_rows`` would take as they stand are converted a block
+    at a time; it parses the others.
     """
     if not delimiter or "\n" in delimiter or "\r" in delimiter:
         raise DomainError(f"delimiter must be non-empty without line breaks, got {delimiter!r}")
-    times: list[int] = []
-    senders: list[int] = []
-    receivers: list[int] = []
     # name -> id, in order of first appearance: a new name gets the next id
     ids: defaultdict[str, int] = defaultdict(lambda: len(ids))
     errors: list[tuple[int, str]] = []
-    lines = enumerate(_iter_lines(source), start=1)
-    if header:
-        next(lines, None)
-    for lineno, raw in lines:
+    none = np.empty(0, dtype=np.int64)
+    columns = [(none, none, none)]  # (timestamps, senders, receivers) per block
+    lineno = 0  # lines before the current block
+    for block in _read_blocks(source):
+        block_columns, lines = _log_block(block, lineno, header and not lineno, delimiter, ids, errors)
+        columns.append(block_columns)
+        lineno += lines
+    times, senders, receivers = (np.concatenate(c) for c in zip(*columns))
+    rows = times.size + len(errors)
+    if rows == 0:
+        raise InputFormatError("message log contains no rows")
+    if not times.size:
+        raise InputFormatError(f"no parseable rows out of {rows}")
+    # renumber the ids in name order
+    first_seen = list(ids)
+    by_name = sorted(range(len(first_seen)), key=first_seen.__getitem__)
+    renumber = np.empty(len(first_seen), dtype=np.int64)
+    renumber[by_name] = np.arange(len(first_seen))
+    return MessageLog(
+        timestamps=times,
+        senders=renumber[senders],
+        receivers=renumber[receivers],
+        names=tuple(first_seen[i] for i in by_name),
+        rows_read=rows,
+        row_errors=tuple(errors),
+    )
+
+
+def _log_block(block, lineno: int, skip: bool, delimiter: str, ids, errors: list):
+    """Parse the rows of a block after line ``lineno``, skipping its first line if ``skip``.
+
+    Returns the (timestamp, sender id, receiver id) columns in line order
+    and the block's line count; row errors go to ``errors``.  In an ASCII
+    block with a one-character ASCII delimiter, the clean lines (see
+    ``_clean_log_lines``) take one ``split`` and are converted column by
+    column; every other line goes through ``_log_rows``.
+    """
+    ascii_lines = _ascii_lines(block) if len(delimiter) == 1 and delimiter.isascii() else None
+    if ascii_lines is None:
+        lines = _block_lines(block)
+        clean = np.zeros(len(lines), dtype=bool)
+        line_text = lines.__getitem__
+    else:
+        data, starts, ends = ascii_lines
+        clean = _clean_log_lines(data, starts, ends, ord(delimiter))
+        line_text = lambda i: block[starts[i] : ends[i]]  # noqa: E731
+    clean[0] &= not skip
+    n = int(np.count_nonzero(clean))
+    columns = [np.empty(0, dtype=np.int64)] * 3
+    if n:
+        # runs of clean lines, as [first, past last) line pairs
+        bounds = np.flatnonzero(np.diff(clean, prepend=False, append=False)).reshape(-1, 2)
+        text = "".join(block[starts[a] : ends[b - 1] + 1] for a, b in bounds.tolist())
+        fields = text.replace("\n", delimiter).split(delimiter)
+        # one C-level lookup of the 2n >= 2 names, which returns a tuple
+        names = itemgetter(*fields[1 : 3 * n : 3], *fields[2 : 3 * n : 3])(ids)
+        times = np.array(fields[0 : 3 * n : 3], dtype=np.int64)
+        columns = times, *np.array(names, dtype=np.int64).reshape(2, n)
+    flagged = np.flatnonzero(~clean)[skip:].tolist()
+    rows = _log_rows(((lineno + 1 + i, line_text(i)) for i in flagged), delimiter, ids, errors)
+    if rows:
+        at, *row_columns = np.array(rows, dtype=np.int64).T
+        place = np.searchsorted(np.flatnonzero(clean), at - lineno - 1)  # clean rows before each
+        columns = [np.insert(c, place, r) for c, r in zip(columns, row_columns)]
+    return columns, clean.size
+
+
+def _clean_log_lines(data: np.ndarray, starts: np.ndarray, ends: np.ndarray, delimiter: int):
+    """Whether each line of ASCII bytes is a row that ``_log_rows`` takes as it stands.
+
+    Such a line has exactly two delimiters, a timestamp of 1 to 18 digits
+    (so it fits int64), and a non-empty sender and receiver with no byte
+    that ``str.strip`` removes at either end.
+    """
+    at = np.flatnonzero(data == delimiter)
+    # where each line's first delimiter, then the block's end, falls in `at`
+    first_at = np.searchsorted(at, np.append(starts, ends[-1]))
+    clean = np.diff(first_at) == 2
+    lines = np.flatnonzero(clean)
+    start, end = starts[lines], ends[lines]
+    first, second = at[first_at[lines]], at[first_at[lines] + 1]
+    # the bytes other than 0-9, then the end of the data
+    nondigits = np.append(np.flatnonzero(data - np.uint8(48) > 9), data.size)
+    width = first - start
+    ok = (width >= 1) & (width <= _FAST_DIGITS) & (nondigits[np.searchsorted(nondigits, start)] >= first)
+    ok &= (second - first > 1) & (end - second > 1)
+    # a field's first and last bytes; the receiver's first is past the data when it is empty
+    edges = np.stack([first + 1, second - 1, np.minimum(second + 1, data.size - 1), end - 1])
+    ok &= ~_STRIPPED[data[edges]].any(axis=0)
+    clean[lines] = ok
+    return clean
+
+
+def _log_rows(numbered_lines, delimiter: str, ids, errors: list) -> list[tuple[int, int, int, int]]:
+    """Parse (line number, line) pairs as rows: (line number, timestamp, sender id, receiver id) each.
+
+    Blank lines are skipped; other rows that do not parse go to ``errors``.
+    """
+    rows = []
+    for lineno, raw in numbered_lines:
         parts = raw.split(delimiter)
         if len(parts) != 3:
             if raw.strip():
@@ -149,27 +246,8 @@ def parse_message_log(
         if not sender or not receiver:
             errors.append((lineno, "empty sender or receiver"))
             continue
-        times.append(ts)
-        senders.append(ids[sender])
-        receivers.append(ids[receiver])
-    rows = len(times) + len(errors)
-    if rows == 0:
-        raise InputFormatError("message log contains no rows")
-    if not times:
-        raise InputFormatError(f"no parseable rows out of {rows}")
-    # renumber the ids in name order
-    first_seen = list(ids)
-    by_name = sorted(range(len(first_seen)), key=first_seen.__getitem__)
-    renumber = np.empty(len(first_seen), dtype=np.int64)
-    renumber[by_name] = np.arange(len(first_seen))
-    return MessageLog(
-        timestamps=np.array(times, dtype=np.int64),
-        senders=renumber[senders],
-        receivers=renumber[receivers],
-        names=tuple(first_seen[i] for i in by_name),
-        rows_read=rows,
-        row_errors=tuple(errors),
-    )
+        rows.append((lineno, ts, ids[sender], ids[receiver]))
+    return rows
 
 
 def extract_reply_delays(
@@ -369,10 +447,15 @@ def _block_lines(block) -> list[str]:
     return lines
 
 
-def _iter_lines(source):
-    """Yield the lines of a path, or of any other iterable, one at a time."""
-    for block in _read_blocks(source):
-        yield from _block_lines(block)
+def _ascii_lines(block):
+    """A text block's bytes and each line's start and end (its line break), or None if not ASCII text."""
+    if not isinstance(block, str) or not block.isascii():
+        return None
+    data = np.frombuffer(block.encode("ascii"), dtype=np.uint8)
+    ends = np.flatnonzero(data == 10)
+    if not block.endswith("\n"):  # the input's last line may lack a line break
+        ends = np.append(ends, data.size)
+    return data, np.append(0, ends[:-1] + 1), ends
 
 
 def load_counts(source) -> CountLoadResult:
@@ -380,22 +463,22 @@ def load_counts(source) -> CountLoadResult:
 
     Blank lines and lines starting with ``#`` are skipped.  Zero, negative
     or non-integer counts are row errors (the support starts at k = 1);
-    they are tallied with line numbers and skipped.  A block of text that
-    holds only ASCII digits and line breaks is converted in one call; any
-    other block is parsed row by row.
+    they are tallied with line numbers and skipped.  A block in which
+    every line is a count the row parser would take as it stands (see
+    ``_block_counts``) is converted with numpy; any other block is parsed
+    row by row.
     """
     columns: list[np.ndarray] = []
     errors: list[tuple[int, str]] = []
     rows = 0
     lineno = 0  # lines before the current block
     for block in _read_blocks(source):
-        if isinstance(block, str) and not block.translate(_DIGITS_AND_BREAKS):
-            column = _bare_counts(block)
-            if column is not None:
-                columns.append(column)
-                rows += column.size
-                lineno += block.count("\n")
-                continue
+        column = _block_counts(block)
+        if column is not None:
+            columns.append(column)
+            rows += column.size
+            lineno += column.size
+            continue
         lines = _block_lines(block)
         column, block_rows = _count_rows(lines, lineno, errors)
         columns.append(column)
@@ -413,13 +496,27 @@ def load_counts(source) -> CountLoadResult:
     )
 
 
-def _bare_counts(block: str) -> np.ndarray | None:
-    """A block of digit lines as int64 counts, or None if any is out of range."""
-    try:
-        column = np.array(block.split(), dtype=np.int64)
-    except (OverflowError, ValueError):  # past int64, or past int()'s digit limit
+def _block_counts(block) -> np.ndarray | None:
+    """A block's counts as int64, or None unless ``_count_rows`` takes every line as it stands.
+
+    That is an ASCII block without ``#`` in which every line ends in a run
+    of 1 to 18 digits of value >= 1, alone or after the line's last comma.
+    """
+    ascii_lines = _ascii_lines(block)
+    if ascii_lines is None or "#" in block:
         return None
-    return column if np.all(column >= 1) else None
+    data, starts, ends = ascii_lines
+    # the last byte other than 0-9 before each line's end, or -1
+    nondigits = np.flatnonzero(data - np.uint8(48) > 9)
+    last = np.append(-1, nondigits)[np.searchsorted(nondigits, ends)]
+    run = ends - last - 1
+    if run.min() < 1 or run.max() > _FAST_DIGITS or np.any((last >= starts) & (data[last] != ord(","))):
+        return None
+    counts = np.zeros(ends.size, dtype=np.int64)
+    for place in range(int(run.max())):  # add each line's digit `place` places from its end
+        digits = data[np.maximum(ends - 1 - place, 0)].astype(np.int64) - ord("0")
+        counts += np.where(run > place, digits, 0) * 10**place
+    return counts if counts.min() >= 1 else None
 
 
 def _count_rows(lines: list[str], lineno: int, errors: list) -> tuple[np.ndarray, int]:

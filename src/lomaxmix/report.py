@@ -28,7 +28,6 @@ __all__ = [
     "serialize_report",
     "write_report",
     "load_report",
-    "strip_timestamps",
 ]
 
 SCHEMA_VERSION = "lomaxmix/1"
@@ -168,10 +167,3 @@ def load_report(path) -> dict:
     if not isinstance(report.get("components"), list):
         raise InputFormatError(f"report {path} has no components list")
     return report
-
-
-def strip_timestamps(report: dict) -> dict:
-    """Copy of a report without its nondeterministic fields."""
-    out = dict(report)
-    out.pop("created_at", None)
-    return out

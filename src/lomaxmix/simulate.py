@@ -87,8 +87,9 @@ def _counts_from_rates(rng: np.random.Generator, lam: np.ndarray) -> np.ndarray:
     u = _open_uniform(rng, lam.size)
     with np.errstate(over="ignore", divide="ignore"):
         k = 1.0 + np.floor(-np.log(u) / lam)
-    # astronomically large draws (vanishing rates) saturate at int64
-    return np.minimum(k, float(_MAX_COUNT)).astype(np.int64)
+    # astronomically large draws (vanishing rates) saturate at _MAX_COUNT; as a float it is 2**63, past int64
+    big = k >= 2.0**63
+    return np.where(big, _MAX_COUNT, np.where(big, 0.0, k).astype(np.int64))
 
 
 def sample_mixture(model: MixtureModel, n: int, seed: int = 0) -> CountSample:

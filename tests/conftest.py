@@ -15,6 +15,13 @@ def random_mixture(rng, max_order=4, b_range=(0.01, 100.0), v_range=(0.1, 10.0))
     )
 
 
+def strip_timestamps(report: dict) -> dict:
+    """Copy of a report without its nondeterministic fields."""
+    out = dict(report)
+    out.pop("created_at", None)
+    return out
+
+
 @pytest.fixture
 def make_random_mixture():
     return random_mixture

@@ -19,10 +19,9 @@ import lomaxmix as lm
 from lomaxmix.cli import main
 from lomaxmix.fitting import n_params_for_order
 from lomaxmix.gof import chi_square_survival
-from lomaxmix.report import strip_timestamps
 
 import mechanism
-from conftest import random_mixture
+from conftest import random_mixture, strip_timestamps
 
 
 @contextmanager

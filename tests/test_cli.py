@@ -24,7 +24,8 @@ from lomaxmix.cli import main
 from lomaxmix.fitting import ScanResult, n_params_for_order
 from lomaxmix.ingest import _READ_BLOCK
 from lomaxmix.distributions import SCALE_BOUNDS, SHAPE_BOUNDS
-from lomaxmix.report import build_report, load_report, model_from_dict, strip_timestamps, write_report
+from lomaxmix.report import SCHEMA_VERSION, build_report, load_report, model_from_dict, write_report
+from conftest import strip_timestamps
 from test_ingest import _LINE, _ROW, _TEXT
 
 
@@ -609,3 +610,94 @@ class TestArbitraryLogs:
         assert code in (0, 1, 2), (code, err.getvalue())
         assert "Traceback" not in err.getvalue()
         assert delays.exists() == counts.exists() == (code == 0)
+
+
+# Report JSON: a report with valid, arbitrary or missing components, or
+# any JSON value, written as JSON text (NaN and Infinity included) or as
+# text that is not JSON.
+_JSON_SCALAR = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4))
+_JSON = st.recursive(
+    _JSON_SCALAR,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _normalized(parts):
+    total = sum(w for w, _, _ in parts)
+    return [(w / total, b, v) for w, b, v in parts]
+
+
+_VALID_PARTS = st.lists(_COMPONENT, min_size=1, max_size=4).map(_normalized)
+_COMPONENTS_JSON = st.one_of(
+    _VALID_PARTS.map(lambda parts: [{"c": c, "b": b, "v": v} for c, b, v in parts]),
+    st.lists(st.fixed_dictionaries({"c": _JSON_SCALAR, "b": _JSON_SCALAR, "v": _JSON_SCALAR}), max_size=3),
+    _JSON,
+)
+_REPORT_TEXT = st.one_of(
+    st.fixed_dictionaries(
+        {
+            "schema_version": st.sampled_from([SCHEMA_VERSION, SCHEMA_VERSION, "lomaxmix/0"]),
+            "components": _COMPONENTS_JSON,
+        }
+    ).map(json.dumps),
+    _JSON.map(json.dumps),
+    st.text(max_size=8),
+)
+# an inline model spec: valid triples, any float triples or any text
+_MODEL_SPEC = st.one_of(
+    _VALID_PARTS,
+    st.lists(st.tuples(st.floats(), st.floats(), st.floats()), min_size=1, max_size=3),
+).map(lambda parts: ",".join(":".join(map(repr, part)) for part in parts)) | st.text(max_size=8)
+
+
+def _exit_of(argv):
+    """A command's exit code and standard error; argparse exits with 2 itself."""
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+class TestArbitraryReports:
+    """rank and simulate end in exit 0, 1 or 2 on any report and flags, with
+    a message when they fail, never in a traceback."""
+
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(
+        report=_REPORT_TEXT,
+        population=st.one_of(st.integers(-2, 300).map(str), st.just("x")),
+        component=st.one_of(st.integers(-2, 5).map(str), st.just("0.5")),
+    )
+    def test_rank_exits_cleanly(self, report, population, component, tmp_path_factory):
+        rep = tmp_path_factory.mktemp("rank") / "any.json"
+        rep.write_text(report, encoding="utf-8")
+        out = rep.parent / "rank.tsv"
+        argv = ["rank", str(rep), "--population", population, "--component", component, "--out", str(out)]
+        code, err = _exit_of(argv)
+        assert code in (0, 1, 2), (code, err)
+        assert "Traceback" not in err
+        assert (code == 0) == (err == "") == out.exists(), (code, err)
+
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(
+        report=st.none() | _REPORT_TEXT,
+        model=st.none() | _MODEL_SPEC,
+        n=st.one_of(st.integers(-2, 30).map(str), st.just("x")),
+        seed=st.one_of(st.integers(), st.integers(2**63 - 2, 2**64 + 2)).map(str),
+    )
+    def test_simulate_exits_cleanly(self, report, model, n, seed, tmp_path_factory):
+        work = tmp_path_factory.mktemp("simulate")
+        argv = ["simulate", "-n", n, "--seed", seed, "--out", str(work / "sim.counts")]
+        if report is not None:
+            (work / "any.json").write_text(report, encoding="utf-8")
+            argv += ["--from-report", str(work / "any.json")]
+        if model is not None:
+            argv += ["--model", model]
+        code, err = _exit_of(argv)
+        assert code in (0, 1, 2), (code, err)
+        assert "Traceback" not in err
+        assert (code == 0) == (err == "") == (work / "sim.counts").exists(), (code, err)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import count_oracle
+import log_oracle
 import reply_oracle
 from lomaxmix import (
     CountSample,
@@ -391,11 +392,14 @@ class TestArbitraryInput:
 # signs, underscores and non-ASCII digits (int() takes the last three),
 # counts either side of the int64 limit, comments, unit ids, padding that
 # str.strip() removes and int() rejects ("\x1c"), two counts on one line,
-# and arbitrary text.  A line of a line list may hold a line break.
+# unit ids with padding, several commas, an empty id or count, a zero or
+# a 19-digit count, and arbitrary text.  A line of a line list may hold a
+# line break.
 _ODD_COUNT = st.sampled_from(
     ["0", "007", "+4", "-3", "1_0", "\u0663", "\x1c5\x1c", " 5 ", "5 6", "5\x1c6", "", "#", "# 5",
      "a,5", "a,0", "5,", "1\n2", "# x\n5", str(2**63 - 1), str(2**63), "9" * 19, "1" + "0" * 19,
-     "9" * 20, "1" * 5000]
+     "9" * 20, "1" * 5000, "u1,5", "u,1,5", "u1, 5", "u1,5 ", ",5", "u1,", "u1,0", "u1,007",
+     "u1," + "9" * 19, "u1," + "1" + "0" * 18, "#u1,5"]
 )
 _COUNT_LINE = st.one_of(st.integers(1, 10**6).map(str), _ODD_COUNT, _LINE)
 
@@ -406,7 +410,7 @@ def _count_input(draw):
     just before, across or just after the end of the first block."""
     kind = draw(st.sampled_from(["path", "stringio", "list"]))
     eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
-    filler = draw(st.sampled_from(["12", "123456", "1234567890123"]))
+    filler = draw(st.sampled_from(["12", "123456", "1234567890123", "u7,12"]))
     drawn = draw(st.lists(_COUNT_LINE, min_size=1, max_size=4))
     before = 0
     if draw(st.booleans()):
@@ -474,3 +478,79 @@ class TestCountOracle:
         assert result.row_errors == ((first, "non-integer count 'x'"), (first + 1, "count must be >= 1, got 0"))
         assert result.rows_read == len(lines) - 1
         assert result.sample.values.size == len(lines) - 3
+
+
+# Log rows, written with "," for the delimiter, that the block path must
+# leave to the row parser or convert exactly as it does: blank lines,
+# padding that str.strip() removes at each field's ends ("\x1c" too),
+# empty fields, 2 and 4 fields, signs, underscores and non-ASCII digits
+# (int() takes them), 18- and 19-digit timestamps, the int64 limits,
+# names with inner spaces or non-ASCII letters, a header-like row, a
+# self-message and a carriage return.  A line of a line list may hold a
+# line break.
+_ODD_ROW = st.sampled_from(
+    ["", " ", "5,a,b", " 5,a,b", "5 ,a,b", "5, a,b", "5,a ,b", "5,a, b", "5,a,b ", "5,a,b\x1c",
+     "\x1c5,a,b", "5,\x1ca,b", "5,,b", "5,a,", ",a,b", "5,a", "5,a,b,c", "+5,a,b", "-5,a,b", "1_0,a,b",
+     "\u0663,a,b", "5,\u00e9,b", "5,a b,c d", "9" * 18 + ",a,b", "9" * 19 + ",a,b", "1" + "0" * 18 + ",a,b",
+     f"{2**63 - 1},a,b", f"{2**63},a,b", f"{-(2**63)},a,b", "ts,from,to", "5,a,a", "007,a,b", "5,a,b\r",
+     "1\n2,a,b", "5,a,b\n6,b,a"]
+)
+# ",", ";", tab and space; a digit, several characters and a non-ASCII
+# character (the fillers hold no 9, so only the drawn rows see the digit)
+_LOG_DELIMITER = st.sampled_from([",", ";", "\t", " ", "9", "::", "\u00a6"])
+_LOG_FILLER = ["1600000000,ann,bob", "12,x,y", "12345678012,carol,dave"]
+
+
+@st.composite
+def _log_input(draw):
+    """(kind, file text, lines, delimiter, header) of a message log; the
+    drawn rows may sit just before, across or just after the end of the
+    first block."""
+    kind = draw(st.sampled_from(["path", "stringio", "list"]))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    delimiter = draw(_LOG_DELIMITER)
+    filler = draw(st.sampled_from(_LOG_FILLER)).replace(",", delimiter)
+    drawn = [row.replace(",", delimiter) for row in draw(st.lists(_ODD_ROW, min_size=1, max_size=4))]
+    before = 0
+    if draw(st.booleans()):
+        # lines that end the first block: a path block holds _READ_BLOCK
+        # characters after newline translation; an iterable block ends at
+        # the item that reaches _READ_BLOCK characters
+        item = {"path": 1, "stringio": len(eol), "list": 0}[kind]
+        if kind == "path":
+            edge = _READ_BLOCK // (len(filler) + 1)
+        else:
+            edge = math.ceil(_READ_BLOCK / (len(filler) + item)) - 1
+        before = edge + draw(st.integers(-2, 2))
+    after = draw(st.sampled_from([0, 2]))
+    lines = [filler] * before + drawn + [filler] * after
+    text = eol.join(lines) + draw(st.sampled_from([eol, ""]))
+    return kind, text, lines, delimiter, draw(st.booleans())
+
+
+def _log_outcome(parse, source, delimiter, header):
+    try:
+        log = parse(source, delimiter=delimiter, header=header)
+    except LomaxMixError as exc:
+        return type(exc)
+    columns = (log.timestamps, log.senders, log.receivers)
+    return [(c.dtype, c.tolist()) for c in columns], log.names, log.rows_read, log.row_errors
+
+
+class TestLogOracle:
+    """parse_message_log agrees with the row-by-row parser of log_oracle."""
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(case=_log_input())
+    def test_agrees_with_oracle(self, case, tmp_path_factory):
+        kind, text, lines, delimiter, header = case
+        if kind == "path":
+            path = tmp_path_factory.mktemp("logs") / "log.csv"
+            path.write_bytes(text.encode("utf-8"))
+            sources = lambda: path  # noqa: E731
+        elif kind == "stringio":
+            sources = lambda: io.StringIO(text)  # noqa: E731
+        else:
+            sources = lambda: list(lines)  # noqa: E731
+        ours = _log_outcome(parse_message_log, sources(), delimiter, header)
+        assert ours == _log_outcome(log_oracle.parse_message_log, sources(), delimiter, header)

@@ -40,6 +40,11 @@ class TestGeometricSampler:
     def test_large_rate_collapses_to_one(self):
         assert np.all(geometric_draws(20.0, 1000, seed=5) == 1)
 
+    def test_vanishing_rate_saturates_below_int64_max(self):
+        # rate 0 and rates whose draws round to 2**63 or more as floats
+        counts = _counts_from_rates(_rng(0), np.array([0.0, 1e-300, 1e-280]))
+        assert counts.tolist() == [2**63 - 2] * 3
+
     def test_inverse_transform_tail(self):
         lam = 0.3
         s = geometric_draws(lam, 10**6, seed=3)
