@@ -487,6 +487,7 @@ def load_counts(source) -> CountLoadResult:
     if rows == 0:
         raise InputFormatError("count file contains no rows")
     values = np.concatenate(columns)
+    del columns  # free the blocks before CountSample copies the values
     if not values.size:
         raise DegenerateDataError(f"no usable counts out of {rows} rows")
     return CountLoadResult(
@@ -514,8 +515,11 @@ def _block_counts(block) -> np.ndarray | None:
         return None
     counts = np.zeros(ends.size, dtype=np.int64)
     for place in range(int(run.max())):  # add each line's digit `place` places from its end
-        digits = data[np.maximum(ends - 1 - place, 0)].astype(np.int64) - ord("0")
-        counts += np.where(run > place, digits, 0) * 10**place
+        ends -= 1  # a short line's position may wrap below 0; its digit is masked
+        digits = data[ends]
+        digits -= ord("0")
+        digits[run <= place] = 0
+        counts += digits * np.int64(10**place)
     return counts if counts.min() >= 1 else None
 
 

@@ -26,7 +26,8 @@ from .fitting import CountSample
 
 __all__ = ["sample_mixture"]
 
-_MAX_COUNT = np.iinfo(np.int64).max - 1
+# the largest draw, the largest float below 2**63: float(2**63 - 1) rounds up to 2**63, past int64
+_MAX_DRAW = np.nextafter(2.0**63, 0.0)
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -87,9 +88,8 @@ def _counts_from_rates(rng: np.random.Generator, lam: np.ndarray) -> np.ndarray:
     u = _open_uniform(rng, lam.size)
     with np.errstate(over="ignore", divide="ignore"):
         k = 1.0 + np.floor(-np.log(u) / lam)
-    # astronomically large draws (vanishing rates) saturate at _MAX_COUNT; as a float it is 2**63, past int64
-    big = k >= 2.0**63
-    return np.where(big, _MAX_COUNT, np.where(big, 0.0, k).astype(np.int64))
+    # astronomically large draws (vanishing rates) saturate at _MAX_DRAW
+    return np.minimum(k, _MAX_DRAW).astype(np.int64)
 
 
 def sample_mixture(model: MixtureModel, n: int, seed: int = 0) -> CountSample:
