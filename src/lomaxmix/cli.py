@@ -12,6 +12,7 @@ import argparse
 import functools
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -53,7 +54,6 @@ from .ingest import (
 from .report import (
     SCHEMA_VERSION,
     build_report,
-    gof_to_dict,
     load_report,
     model_from_dict,
     model_to_dict,
@@ -228,7 +228,7 @@ def cmd_gof(args) -> int:
         payload = {
             "schema_version": SCHEMA_VERSION,
             "input_digest": sample_digest(sample),
-            "gof": gof_to_dict(gof_report),
+            "gof": asdict(gof_report),
         }
         write_report(args.out, payload)
         print(f"gof -> {args.out}")

@@ -63,14 +63,12 @@ _WINDOW = 10  # steps over which a decrease below tol ends a start
 class CountSample:
     """A multiset of positive-integer observations.
 
-    ``values`` are the observed counts; optional ``weights`` give the
-    multiplicity of each entry, so weighted and unweighted forms can
-    represent the same multiset.  The sample holds read-only copies of
-    both, so its distinct-value form is computed once.
+    ``values`` are the observed counts, one entry per observation.  The
+    sample holds a read-only copy of them, so its distinct-value form is
+    computed once.
     """
 
     values: np.ndarray
-    weights: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.values)
@@ -88,27 +86,11 @@ class CountSample:
             raise DomainError("sample values must be >= 1")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
-        if self.weights is not None:
-            w = np.asarray(self.weights)
-            if w.shape != vals.shape:
-                raise ValidationError("weights must match values in length")
-            if w.dtype.kind == "f":
-                if np.any(w != np.floor(w)):
-                    raise DomainError("weights must be integers")
-            w = w.astype(np.int64)
-            if np.any(w < 0):
-                raise DomainError("weights must be >= 0")
-            if int(w.sum()) < 1:
-                raise DegenerateDataError("total weight must be >= 1")
-            w.flags.writeable = False
-            object.__setattr__(self, "weights", w)
 
     @property
     def size(self) -> int:
-        """Total number of observations in the multiset."""
-        if self.weights is None:
-            return int(self.values.size)
-        return int(self.weights.sum())
+        """Number of observations."""
+        return int(self.values.size)
 
     def distinct(self) -> tuple[np.ndarray, np.ndarray]:
         """Sorted distinct values and their multiplicities (read-only arrays)."""
@@ -116,15 +98,8 @@ class CountSample:
 
     @cached_property
     def _distinct(self) -> tuple[np.ndarray, np.ndarray]:
-        if self.weights is None:
-            vals, counts = np.unique(self.values, return_counts=True)
-            counts = counts.astype(np.int64)
-        else:
-            vals, inverse = np.unique(self.values, return_inverse=True)
-            counts = np.zeros(vals.size, dtype=np.int64)
-            np.add.at(counts, inverse, self.weights)
-            keep = counts > 0
-            vals, counts = vals[keep], counts[keep]
+        vals, counts = np.unique(self.values, return_counts=True)
+        counts = counts.astype(np.int64)
         vals.flags.writeable = False
         counts.flags.writeable = False
         return vals, counts
@@ -165,8 +140,6 @@ class FitResult:
     aic: float
     sample_size: int
     converged: bool
-    starts_used: int
-    seed: int
 
     @property
     def order(self) -> int:
@@ -510,8 +483,6 @@ def fit_mixture(data: CountSample, order: int, config: FitConfig = FitConfig()) 
         aic=aic(ll, n_free),
         sample_size=n,
         converged=bool(converged[best]),
-        starts_used=config.starts,
-        seed=config.seed,
     )
 
 
@@ -541,35 +512,19 @@ def scan_orders(data: CountSample, max_order: int, config: FitConfig = FitConfig
 # ---------------------------------------------------------------------------
 
 
-def _golden_min(fn, lo: float, hi: float, iters: int = 160) -> float:
-    """Golden-section minimum of a unimodal scalar function on [lo, hi]."""
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    x1 = b - inv_phi * (b - a)
-    x2 = a + inv_phi * (b - a)
-    f1, f2 = fn(x1), fn(x2)
-    for _ in range(iters):
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - inv_phi * (b - a)
-            f1 = fn(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + inv_phi * (b - a)
-            f2 = fn(x2)
-    return (a + b) / 2.0
-
-
-_BETA_LO = 1.0 + 1e-9
 _BETA_HI = 50.0
+# beta - 1 is searched on a log scale, so the pole of zeta at beta = 1 is a
+# gentle slope there and not a wall that stops the line search
+_LOG_BETA_BOUNDS = (math.log(1e-9), math.log(_BETA_HI - 1.0))  # beta in [1 + 1e-9, 50]
 
 
 def fit_power_law(data: CountSample) -> BaselineResult:
     """MLE of the zeta-normalized discrete power law P(k) = k^-beta / zeta(beta).
 
-    The exponent is found by one-dimensional search over beta in
-    (1, 50]; hitting either end of that range is flagged as a
-    non-converged boundary fit.
+    The exponent solves -zeta'(beta) / zeta(beta) = mean log k; it is found
+    by the mixtures' projected BFGS on log(beta - 1), beta in [1 + 1e-9, 50].
+    When every observation is k = 1 the likelihood increases in beta, and
+    the fit is flagged as non-converged at beta = 50.
     """
     ks_i, counts_i = data.distinct()
     ks = ks_i.astype(float)
@@ -577,23 +532,27 @@ def fit_power_law(data: CountSample) -> BaselineResult:
     n = counts.sum()
     sum_log = float(np.dot(counts, np.log(ks)))
 
-    def nll(beta: float) -> float:
-        return beta * sum_log + n * math.log(riemann_zeta(beta))
+    def nll(beta: float) -> tuple[float, float]:  # and its derivative in log(beta - 1)
+        zeta, d_zeta = riemann_zeta(beta)
+        return beta * sum_log + n * math.log(zeta), (beta - 1.0) * (sum_log + n * d_zeta / zeta)
 
-    converged, note = True, ""
-    if sum_log == 0.0:  # every observation is k = 1; likelihood increases in beta
-        beta_hat = _BETA_HI
-        converged, note = False, "exponent at upper search bound (all mass at k = 1)"
+    def objective(x: np.ndarray):  # one (1, 1) row of log(beta - 1)
+        f, g = nll(1.0 + math.exp(x[0, 0]))
+        return np.array([f]), np.full((1, 1), g)
+
+    if sum_log == 0.0:  # every observation is k = 1
+        beta_hat, converged = _BETA_HI, False
+        note = "exponent at upper search bound (all mass at k = 1)"
     else:
-        beta_hat = _golden_min(nll, _BETA_LO, _BETA_HI)
-        if beta_hat >= _BETA_HI - 1e-3:
-            converged, note = False, "exponent at upper search bound (mass concentrated at k = 1)"
-        elif beta_hat <= _BETA_LO + 1e-6:
-            converged, note = False, "exponent at lower bound: non-normalizable, non-finite-mean fit"
-    ll = -nll(beta_hat)
+        config = FitConfig()
+        x, _, done, _ = _minimize(
+            objective, np.zeros((1, 1)), *_LOG_BETA_BOUNDS, config.tol, config.max_evals
+        )
+        beta_hat, converged, note = 1.0 + math.exp(x[0, 0]), bool(done[0]), ""
+    ll = -nll(beta_hat)[0]
     return BaselineResult(
         kind="power_law",
-        params={"beta": float(beta_hat)},
+        params={"beta": beta_hat},
         log_likelihood=ll,
         n_params=1,
         aic=aic(ll, 1),

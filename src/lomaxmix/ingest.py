@@ -550,10 +550,7 @@ def _count_rows(lines: list[str], lineno: int, errors: list) -> tuple[np.ndarray
 
 def save_counts(path, sample: CountSample) -> None:
     """Write one count per line (the bare-count file format)."""
-    values = sample.values
-    if sample.weights is not None:
-        values = np.repeat(values, sample.weights)
-    _write_lines(path, values)
+    _write_lines(path, sample.values)
 
 
 def write_delays(path, sample: ReplyDelaySample) -> None:

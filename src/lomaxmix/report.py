@@ -11,6 +11,7 @@ from __future__ import annotations
 import datetime as _dt
 import hashlib
 import json
+from dataclasses import asdict
 
 from .distributions import MixtureModel
 from .errors import InputFormatError, ValidationError
@@ -22,8 +23,6 @@ __all__ = [
     "sample_digest",
     "model_to_dict",
     "model_from_dict",
-    "gof_to_dict",
-    "baseline_to_dict",
     "build_report",
     "serialize_report",
     "write_report",
@@ -63,40 +62,6 @@ def model_from_dict(components: list[dict]) -> MixtureModel:
         raise InputFormatError(f"malformed components in report: {exc}") from exc
 
 
-def gof_to_dict(report: GofReport) -> dict:
-    return {
-        "chi2": report.chi2,
-        "dof": report.dof,
-        "p_value": report.p_value,
-        "alpha": report.alpha,
-        "rejected": report.rejected,
-        "n_params": report.n_params,
-        "sample_size": report.sample_size,
-        "bins": [
-            {
-                "k_lo": b.k_lo,
-                "k_hi": b.k_hi,
-                "observed": b.observed,
-                "expected": b.expected,
-            }
-            for b in report.bins
-        ],
-    }
-
-
-def baseline_to_dict(result: BaselineResult) -> dict:
-    return {
-        "kind": result.kind,
-        "params": dict(result.params),
-        "log_likelihood": result.log_likelihood,
-        "n_params": result.n_params,
-        "aic": result.aic,
-        "sample_size": result.sample_size,
-        "converged": result.converged,
-        "note": result.note,
-    }
-
-
 def _fit_to_scan_row(fit: FitResult, best_aic: float) -> dict:
     return {
         "M": fit.order,
@@ -132,11 +97,9 @@ def build_report(
         "delta_aic_runner_up": scan.delta_aic_runner_up,
         "scan": [_fit_to_scan_row(f, best.aic) for f in scan.fits],
         "scan_failures": {str(m): msg for m, msg in sorted(scan.failures.items())},
-        "gof": gof_to_dict(gof) if gof is not None else None,
+        "gof": asdict(gof) if gof is not None else None,
         "gof_error": gof_error,
-        "baselines": {
-            name: baseline_to_dict(b) for name, b in (baselines or {}).items()
-        },
+        "baselines": {name: asdict(b) for name, b in (baselines or {}).items()},
         "config": dict(config_echo or {}),
     }
     return report

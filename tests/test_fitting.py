@@ -4,8 +4,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
+import scipy.special as sps
+from scipy.optimize import brentq
 
 from lomaxmix import (
     CountSample,
@@ -25,7 +25,6 @@ from lomaxmix import (
     scan_orders,
 )
 from lomaxmix import fitting
-from lomaxmix.report import sample_digest
 from lomaxmix.special import riemann_zeta
 
 
@@ -37,25 +36,17 @@ TRUTH_2 = MixtureModel.from_parameters([0.7, 0.3], [2.0, 20.0], [1.2, 3.0])
 
 
 class TestCountSample:
-    def test_distinct_merges_weights(self):
-        a = CountSample(np.array([1, 1, 2, 4]))
-        b = CountSample(np.array([1, 2, 4]), weights=np.array([2, 1, 1]))
-        ka, ca = a.distinct()
-        kb, cb = b.distinct()
-        assert np.array_equal(ka, kb) and np.array_equal(ca, cb)
-        assert a.size == b.size == 4
-
-    @pytest.mark.parametrize("weights", [None, np.array([2, 0, 1, 1])])
+    @pytest.mark.parametrize("weights", [None])
     def test_distinct_is_computed_once_and_read_only(self, weights):
         values = np.array([4, 9, 1, 4])
-        sample = CountSample(values, weights=weights)
+        sample = CountSample(values)
         ks, counts = sample.distinct()
         assert sample.distinct()[0] is ks and sample.distinct()[1] is counts
         for array in (ks, counts, sample.values):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 7
         values[0] = 2  # the sample holds its own copy
-        assert sample.distinct()[0].tolist() == ([1, 4] if weights is not None else [1, 4, 9])
+        assert sample.distinct()[0].tolist() == [1, 4, 9]
 
     def test_rejects_bad_values(self):
         with pytest.raises(DomainError):
@@ -64,29 +55,6 @@ class TestCountSample:
             CountSample(np.array([1.5]))
         with pytest.raises(DegenerateDataError):
             CountSample(np.array([], dtype=np.int64))
-
-
-    @settings(max_examples=40, deadline=None, database=None)
-    @given(
-        pairs=st.lists(
-            st.tuples(st.integers(1, 10**6), st.integers(0, 30)), min_size=1, max_size=40
-        ).filter(lambda p: sum(w for _, w in p) >= 1)
-    )
-    def test_weighted_and_expanded_forms_agree(self, pairs):
-        values = np.array([k for k, _ in pairs], dtype=np.int64)
-        weights = np.array([w for _, w in pairs], dtype=np.int64)
-        weighted = CountSample(values, weights=weights)
-        expanded = CountSample(np.repeat(values, weights))
-        for a, b in zip(weighted.distinct(), expanded.distinct()):
-            assert np.array_equal(a, b)
-        assert sample_digest(weighted) == sample_digest(expanded)
-        model = MixtureModel.from_parameters([0.6, 0.4], [2.0, 50.0], [1.1, 2.5])
-        assert log_likelihood(model, weighted) == log_likelihood(model, expanded)
-        if weighted.distinct()[0].size < 2 or weighted.size < 2:
-            return
-        config = FitConfig(starts=2, seed=1)
-        a, b = fit_mixture(weighted, 1, config), fit_mixture(expanded, 1, config)
-        assert a.model == b.model and a.log_likelihood == b.log_likelihood
 
 
 class TestLogLikelihood:
@@ -355,7 +323,7 @@ class TestPowerLawBaseline:
         # inverse-CDF sampling of the zeta distribution, beta = 2.5
         beta = 2.5
         kmax = 10**6
-        pmf = np.arange(1, kmax + 1, dtype=float) ** -beta / riemann_zeta(beta)
+        pmf = np.arange(1, kmax + 1, dtype=float) ** -beta / riemann_zeta(beta)[0]
         cdf = np.cumsum(pmf)
         rng = np.random.default_rng(7)
         draws = np.searchsorted(cdf, rng.random(10**5), side="right") + 1
@@ -364,6 +332,34 @@ class TestPowerLawBaseline:
         assert fit.converged
         assert fit.n_params == 1
         assert fit.aic == aic(fit.log_likelihood, 1)
+
+    @pytest.mark.parametrize(
+        "model", [TRUTH_2, MixtureModel.from_parameters([0.7, 0.3], [5.0, 500.0], [0.9, 1.3])]
+    )
+    def test_exponent_is_the_root_of_the_score(self, model):
+        # reference: a brentq root of the score -mean log k - (log zeta)'(beta),
+        # the derivative a central difference of log scipy.special.zeta
+        data = sample_mixture(model, 2 * 10**4, seed=12)
+        ks, counts = data.distinct()
+        mean_log = float(np.dot(counts, np.log(ks)) / counts.sum())
+        h = 1e-5
+
+        def score(beta):
+            d_log_zeta = (math.log(sps.zeta(beta + h)) - math.log(sps.zeta(beta - h))) / (2 * h)
+            return -mean_log - d_log_zeta
+
+        ref = brentq(score, 1.01, 10.0, xtol=1e-15, rtol=1e-15)
+        fit = fit_power_law(data)
+        assert fit.converged and fit.note == ""
+        assert abs(fit.params["beta"] - ref) <= 1e-9 * ref
+
+    def test_largest_counts_solve_the_score_inside_the_box(self):
+        # mean log k is at most log 2**63 = 43.67, whose root is 1.0226, so no
+        # int64 sample puts the exponent at its lower bound 1 + 1e-9
+        fit = fit_power_law(CountSample(np.full(3, 2**63 - 1, dtype=np.int64)))
+        zeta, d_zeta = riemann_zeta(fit.params["beta"])
+        assert fit.converged and fit.params["beta"] > 1.02
+        np.testing.assert_allclose(-d_zeta / zeta, math.log(2.0**63), rtol=1e-9)
 
     def test_all_ones_flagged(self):
         fit = fit_power_law(CountSample(np.ones(50, dtype=np.int64)))

@@ -112,15 +112,12 @@ class TestChiSquareTest:
         rng = np.random.default_rng(0)
         shuffled = values.copy()
         rng.shuffle(shuffled)
-        ks, counts = CountSample(values).distinct()
-        weighted = CountSample(ks, weights=counts)
         reps = [
             chi_square_test(model, CountSample(values), 0, 0.05),
             chi_square_test(model, CountSample(shuffled), 0, 0.05),
-            chi_square_test(model, weighted, 0, 0.05),
         ]
-        assert reps[0].chi2 == reps[1].chi2 == reps[2].chi2
-        assert reps[0].p_value == reps[1].p_value == reps[2].p_value
+        assert reps[0].chi2 == reps[1].chi2
+        assert reps[0].p_value == reps[1].p_value
 
     def test_too_small_sample(self):
         model = single(1.0, 1.0)

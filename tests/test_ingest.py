@@ -343,12 +343,6 @@ class TestCountFiles:
         loaded = load_counts(path)
         assert np.array_equal(loaded.sample.values, sample.values)
 
-    def test_weighted_save_expands(self, tmp_path):
-        sample = CountSample(np.array([3, 7]), weights=np.array([2, 1]))
-        path = tmp_path / "w.counts"
-        save_counts(path, sample)
-        assert path.read_text() == "3\n3\n7\n"
-
     def test_empty_and_all_bad(self, tmp_path):
         empty = tmp_path / "e.counts"
         empty.write_text("")

@@ -70,13 +70,26 @@ class TestIncompleteGamma:
 
 class TestZeta:
     def test_basel(self):
-        np.testing.assert_allclose(riemann_zeta(2.0), math.pi**2 / 6.0, rtol=1e-10)
+        np.testing.assert_allclose(riemann_zeta(2.0)[0], math.pi**2 / 6.0, rtol=1e-10)
 
     def test_against_scipy(self):
         for s in (1.01, 1.1, 1.5, 2.5, 4.0, 10.0, 25.0, 49.0):
             np.testing.assert_allclose(
-                riemann_zeta(s), float(sps.zeta(s, 1)), rtol=1e-12
+                riemann_zeta(s)[0], float(sps.zeta(s, 1)), rtol=1e-12
             )
+
+    def test_derivative_at_two(self):
+        # zeta'(2) = pi^2/6 (gamma + log 2 pi - 12 log A), A the Glaisher constant
+        np.testing.assert_allclose(riemann_zeta(2.0)[1], -0.93754825431584375, rtol=1e-13)
+
+    def test_derivative_against_scipy_differences(self):
+        # central differences of zeta - 1 (scipy's zetac), which keeps its
+        # relative precision where zeta(s) rounds to 1; the step shrinks with
+        # s - 1, so the truncation error stays near 1e-8 of the derivative
+        for s in np.concatenate([1.0 + np.geomspace(1e-3, 1.0, 12), np.linspace(2.5, 49.9, 12)]):
+            h = 1e-4 * min(1.0, s - 1.0)
+            central = (sps.zetac(s + h) - sps.zetac(s - h)) / (2.0 * h)
+            np.testing.assert_allclose(riemann_zeta(float(s))[1], central, rtol=1e-6)
 
     def test_domain(self):
         with pytest.raises(DomainError):
