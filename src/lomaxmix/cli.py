@@ -12,7 +12,6 @@ import argparse
 import functools
 import os
 import sys
-from dataclasses import asdict
 
 import numpy as np
 
@@ -53,6 +52,7 @@ from .ingest import (
 )
 from .report import (
     SCHEMA_VERSION,
+    _record_dict,
     build_report,
     load_report,
     model_from_dict,
@@ -69,6 +69,8 @@ EXIT_INPUT = 2
 # OSError: an output path that cannot be written (inputs map their own)
 _INPUT_ERRORS = (InputFormatError, ValidationError, DomainError, OSError)
 _EMPTY_ERRORS = (DegenerateDataError, FitError, InsufficientResolutionError)
+# the most int64 ranks numpy holds in one array: its byte size must fit intp
+_MAX_RANKS = np.iinfo(np.intp).max // np.dtype(np.int64).itemsize
 
 
 def _err(msg: str) -> None:
@@ -228,7 +230,7 @@ def cmd_gof(args) -> int:
         payload = {
             "schema_version": SCHEMA_VERSION,
             "input_digest": sample_digest(sample),
-            "gof": asdict(gof_report),
+            "gof": _record_dict(gof_report),
         }
         write_report(args.out, payload)
         print(f"gof -> {args.out}")
@@ -274,6 +276,8 @@ def cmd_rank(args) -> int:
     idx = args.component
     if not 0 <= idx < model.order:
         raise DomainError(f"component index {idx} out of range for M={model.order}")
+    if args.population > _MAX_RANKS:
+        raise DomainError(f"population {args.population} exceeds the {_MAX_RANKS} rows a rank table can hold")
     comp = model.components[idx]
     rm = RankModel(shape=comp.shape, scale=comp.scale, population=args.population)
     ranks = np.arange(1, args.population + 1)

@@ -10,18 +10,19 @@ rules are provided:
   pending message.  Delays follow the replies.
 
 Both sort messages by (timestamp, sender, receiver), whatever the row
-order, and drop self-messages with a counter.  Parsing streams the
-lines into int64 columns, with sender and receiver names interned to
-int ids; it never discards rows silently: malformed rows are tallied
-with their line numbers and processing continues.
+order, and drop self-messages with a counter.  Logs and count files
+are read from a path or a text stream as UTF-8 text, a block of lines at
+a time.  Parsing fills int64 columns, with sender and receiver names
+interned to int ids; it never discards rows silently: malformed rows
+are tallied with their line numbers and processing continues.
 """
 
 from __future__ import annotations
 
+import contextlib
 from collections import defaultdict
 from dataclasses import dataclass
 from operator import itemgetter
-from pathlib import Path
 
 import numpy as np
 
@@ -52,6 +53,7 @@ _READ_BLOCK = 65_536  # characters of text read per block of whole lines
 _FAST_DIGITS = 18  # a run of at most 18 decimal digits fits int64
 _STRIPPED = np.zeros(256, dtype=bool)  # the ASCII bytes that str.strip() removes
 _STRIPPED[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = True
+_STRIPPED[128:] = True  # and every byte of a non-ASCII character, as it may be U+00A0, U+3000, ...
 
 
 @dataclass(frozen=True)
@@ -112,13 +114,14 @@ def parse_message_log(
     delimiter: str = ",",
     header: bool = False,
 ) -> MessageLog:
-    """Parse timestamp/sender/receiver rows from a path or line iterable.
+    """Parse timestamp/sender/receiver rows from a path or a text stream of UTF-8 text.
 
     Blank lines are skipped; every other row is either parsed or tallied
     as a row error.  The delimiter may not contain a line break, so only
     the receiver field can carry the line's end, which stripping removes.
     Rows that ``_log_rows`` would take as they stand are converted a block
-    at a time; it parses the others.
+    at a time; it parses the others, among them every row with a
+    non-ASCII character at a field's edge.
     """
     if not delimiter or "\n" in delimiter or "\r" in delimiter:
         raise DomainError(f"delimiter must be non-empty without line breaks, got {delimiter!r}")
@@ -157,34 +160,31 @@ def _log_block(block, lineno: int, skip: bool, delimiter: str, ids, errors: list
     """Parse the rows of a block after line ``lineno``, skipping its first line if ``skip``.
 
     Returns the (timestamp, sender id, receiver id) columns in line order
-    and the block's line count; row errors go to ``errors``.  In an ASCII
-    block with a one-character ASCII delimiter, the clean lines (see
-    ``_clean_log_lines``) take one ``split`` and are converted column by
-    column; every other line goes through ``_log_rows``.
+    and the block's line count; row errors go to ``errors``.  With a
+    one-character ASCII delimiter, the clean lines (see
+    ``_clean_log_lines``) are decoded run by run, take one ``split`` and are
+    converted column by column; every other line goes through ``_log_rows``.
     """
-    ascii_lines = _ascii_lines(block) if len(delimiter) == 1 and delimiter.isascii() else None
-    if ascii_lines is None:
-        lines = _block_lines(block)
-        clean = np.zeros(len(lines), dtype=bool)
-        line_text = lines.__getitem__
-    else:
-        data, starts, ends = ascii_lines
+    data, starts, ends = block
+    if len(delimiter) == 1 and delimiter.isascii():
         clean = _clean_log_lines(data, starts, ends, ord(delimiter))
-        line_text = lambda i: block[starts[i] : ends[i]]  # noqa: E731
+    else:
+        clean = np.zeros(starts.size, dtype=bool)
     clean[0] &= not skip
     n = int(np.count_nonzero(clean))
     columns = [np.empty(0, dtype=np.int64)] * 3
     if n:
         # runs of clean lines, as [first, past last) line pairs
         bounds = np.flatnonzero(np.diff(clean, prepend=False, append=False)).reshape(-1, 2)
-        text = "".join(block[starts[a] : ends[b - 1] + 1] for a, b in bounds.tolist())
+        text = "\n".join(_texts(data, starts[bounds[:, 0]], ends[bounds[:, 1] - 1]))
         fields = text.replace("\n", delimiter).split(delimiter)
         # one C-level lookup of the 2n >= 2 names, which returns a tuple
         names = itemgetter(*fields[1 : 3 * n : 3], *fields[2 : 3 * n : 3])(ids)
         times = np.array(fields[0 : 3 * n : 3], dtype=np.int64)
         columns = times, *np.array(names, dtype=np.int64).reshape(2, n)
-    flagged = np.flatnonzero(~clean)[skip:].tolist()
-    rows = _log_rows(((lineno + 1 + i, line_text(i)) for i in flagged), delimiter, ids, errors)
+    flagged = np.flatnonzero(~clean)[skip:]
+    lines = zip((flagged + lineno + 1).tolist(), _texts(data, starts[flagged], ends[flagged]))
+    rows = _log_rows(lines, delimiter, ids, errors)
     if rows:
         at, *row_columns = np.array(rows, dtype=np.int64).T
         place = np.searchsorted(np.flatnonzero(clean), at - lineno - 1)  # clean rows before each
@@ -193,11 +193,12 @@ def _log_block(block, lineno: int, skip: bool, delimiter: str, ids, errors: list
 
 
 def _clean_log_lines(data: np.ndarray, starts: np.ndarray, ends: np.ndarray, delimiter: int):
-    """Whether each line of ASCII bytes is a row that ``_log_rows`` takes as it stands.
+    """Whether each line of UTF-8 bytes is a row that ``_log_rows`` takes as it stands.
 
-    Such a line has exactly two delimiters, a timestamp of 1 to 18 digits
-    (so it fits int64), and a non-empty sender and receiver with no byte
-    that ``str.strip`` removes at either end.
+    Such a line has exactly two delimiters, a timestamp of 1 to 18 ASCII
+    digits (so it fits int64), and a non-empty sender and receiver with
+    neither a byte that ``str.strip`` removes nor a non-ASCII byte at
+    either end.
     """
     at = np.flatnonzero(data == delimiter)
     # where each line's first delimiter, then the block's end, falls in `at`
@@ -391,28 +392,16 @@ def discretize(sample: ReplyDelaySample) -> CountSample:
 
 
 def _read_blocks(source):
-    """Yield a path's text, or a line iterable's items, a block of whole lines at a time.
+    """Yield a path's or a text stream's lines a block at a time, as ``_lines`` gives them.
 
-    A block is text of about ``_READ_BLOCK`` characters ending in a line
+    A block is about ``_READ_BLOCK`` characters of text ending in a line
     break, except that the input's last line may lack one.  A path is read
-    as UTF-8 with universal newlines.  An iterable's items are its lines;
-    a block of items that are not all single lines (an item with a line
-    break before its end) is yielded as the list of items instead.
+    as UTF-8 with universal newlines; a stream (anything with ``read``)
+    is read as it is, split at "\n" only, and left open.
     """
-    if not isinstance(source, (str, Path)):
-        items: list[str] = []
-        size = 0
-        for item in source:
-            items.append(item)
-            size += len(item)
-            if size >= _READ_BLOCK:
-                yield _join_lines(items)
-                items, size = [], 0
-        if items:
-            yield _join_lines(items)
-        return
+    stream = hasattr(source, "read")
     try:
-        with open(source, "r", encoding="utf-8") as fh:
+        with contextlib.nullcontext(source) if stream else open(source, encoding="utf-8") as fh:
             pieces: list[str] = []  # the text after the last line break read so far
             while chunk := fh.read(_READ_BLOCK):
                 end = chunk.rfind("\n") + 1
@@ -420,46 +409,39 @@ def _read_blocks(source):
                     pieces.append(chunk)
                     continue
                 pieces.append(chunk[:end])
-                yield "".join(pieces)
+                yield _lines("".join(pieces))
                 pieces = [chunk[end:]]
             tail = "".join(pieces)  # a last line without a line break
             if tail:
-                yield tail
+                yield _lines(tail)
     except OSError as exc:
         raise InputFormatError(f"cannot read {source}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise InputFormatError(f"{source} is not UTF-8 text: {exc}") from exc
 
 
-def _join_lines(items: list[str]):
-    """The items as one block of text if each is a single line, else the items."""
-    text = "\n".join(item[:-1] if item.endswith("\n") else item for item in items) + "\n"
-    return text if text.count("\n") == len(items) else items
+def _lines(text: str):
+    """A block's UTF-8 bytes and each line's start and end (its line break).
 
-
-def _block_lines(block) -> list[str]:
-    """The lines of a block, without their line breaks."""
-    if isinstance(block, list):
-        return block
-    lines = block.split("\n")
-    if not lines[-1]:  # the block ends in a line break
-        lines.pop()
-    return lines
-
-
-def _ascii_lines(block):
-    """A text block's bytes and each line's start and end (its line break), or None if not ASCII text."""
-    if not isinstance(block, str) or not block.isascii():
-        return None
-    data = np.frombuffer(block.encode("ascii"), dtype=np.uint8)
+    A stream's lone surrogates are encoded as they stand ("surrogatepass"),
+    and ``_texts`` decodes them back.
+    """
+    data = np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8)
     ends = np.flatnonzero(data == 10)
-    if not block.endswith("\n"):  # the input's last line may lack a line break
+    if data[-1] != 10:  # the input's last line may lack a line break
         ends = np.append(ends, data.size)
     return data, np.append(0, ends[:-1] + 1), ends
 
 
+def _texts(data: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> list[str]:
+    """The text of each byte range [start, end) of a block of ``_lines``."""
+    raw = data.tobytes()
+    return [raw[a:b].decode("utf-8", "surrogatepass") for a, b in zip(starts.tolist(), ends.tolist())]
+
+
 def load_counts(source) -> CountLoadResult:
-    """Load a count file: ``unit_id,count`` rows or one bare count per line.
+    """Load a count file, from a path or a text stream of UTF-8 text:
+    ``unit_id,count`` rows or one bare count per line.
 
     Blank lines and lines starting with ``#`` are skipped.  Zero, negative
     or non-integer counts are row errors (the support starts at k = 1);
@@ -470,20 +452,14 @@ def load_counts(source) -> CountLoadResult:
     """
     columns: list[np.ndarray] = []
     errors: list[tuple[int, str]] = []
-    rows = 0
     lineno = 0  # lines before the current block
-    for block in _read_blocks(source):
-        column = _block_counts(block)
-        if column is not None:
-            columns.append(column)
-            rows += column.size
-            lineno += column.size
-            continue
-        lines = _block_lines(block)
-        column, block_rows = _count_rows(lines, lineno, errors)
+    for data, starts, ends in _read_blocks(source):
+        column = _block_counts(data, starts, ends)
+        if column is None:
+            column = _count_rows(_texts(data, starts, ends), lineno, errors)
         columns.append(column)
-        rows += block_rows
-        lineno += len(lines)
+        lineno += starts.size
+    rows = sum(column.size for column in columns) + len(errors)  # every row is a count or an error
     if rows == 0:
         raise InputFormatError("count file contains no rows")
     values = np.concatenate(columns)
@@ -497,16 +473,14 @@ def load_counts(source) -> CountLoadResult:
     )
 
 
-def _block_counts(block) -> np.ndarray | None:
+def _block_counts(data: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray | None:
     """A block's counts as int64, or None unless ``_count_rows`` takes every line as it stands.
 
-    That is an ASCII block without ``#`` in which every line ends in a run
-    of 1 to 18 digits of value >= 1, alone or after the line's last comma.
+    That is a block without ``#`` in which every line ends in a run of 1
+    to 18 ASCII digits of value >= 1, alone or after the line's last comma.
     """
-    ascii_lines = _ascii_lines(block)
-    if ascii_lines is None or "#" in block:
+    if np.any(data == ord("#")):
         return None
-    data, starts, ends = ascii_lines
     # the last byte other than 0-9 before each line's end, or -1
     nondigits = np.flatnonzero(data - np.uint8(48) > 9)
     last = np.append(-1, nondigits)[np.searchsorted(nondigits, ends)]
@@ -514,24 +488,23 @@ def _block_counts(block) -> np.ndarray | None:
     if run.min() < 1 or run.max() > _FAST_DIGITS or np.any((last >= starts) & (data[last] != ord(","))):
         return None
     counts = np.zeros(ends.size, dtype=np.int64)
+    at = ends.copy()
     for place in range(int(run.max())):  # add each line's digit `place` places from its end
-        ends -= 1  # a short line's position may wrap below 0; its digit is masked
-        digits = data[ends]
+        at -= 1  # a short line's position may wrap below 0; its digit is masked
+        digits = data[at]
         digits -= ord("0")
         digits[run <= place] = 0
         counts += digits * np.int64(10**place)
     return counts if counts.min() >= 1 else None
 
 
-def _count_rows(lines: list[str], lineno: int, errors: list) -> tuple[np.ndarray, int]:
-    """Parse count rows after line ``lineno``: (usable counts, rows); row errors go to ``errors``."""
+def _count_rows(lines, lineno: int, errors: list) -> np.ndarray:
+    """Parse count rows after line ``lineno`` into their usable counts; row errors go to ``errors``."""
     values: list[int] = []
-    rows = 0
     for lineno, raw in enumerate(lines, start=lineno + 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        rows += 1
         token = line.rsplit(",", 1)[-1].strip() if "," in line else line
         try:
             count = int(token)
@@ -545,7 +518,7 @@ def _count_rows(lines: list[str], lineno: int, errors: list) -> tuple[np.ndarray
             errors.append((lineno, f"count {count} exceeds {_MAX_COUNT}"))
             continue
         values.append(count)
-    return np.array(values, dtype=np.int64), rows
+    return np.array(values, dtype=np.int64)
 
 
 def save_counts(path, sample: CountSample) -> None:

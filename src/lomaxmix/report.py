@@ -11,7 +11,6 @@ from __future__ import annotations
 import datetime as _dt
 import hashlib
 import json
-from dataclasses import asdict
 
 from .distributions import MixtureModel
 from .errors import InputFormatError, ValidationError
@@ -62,6 +61,17 @@ def model_from_dict(components: list[dict]) -> MixtureModel:
         raise InputFormatError(f"malformed components in report: {exc}") from exc
 
 
+def _record_dict(record) -> dict:
+    """A dataclass's fields by name, a tuple of dataclasses (``GofReport.bins``) as a list of dicts.
+
+    Unlike ``dataclasses.asdict``, it does not deep-copy every value of every bin.
+    """
+    return {
+        name: [dict(vars(item)) for item in value] if isinstance(value, tuple) else value
+        for name, value in vars(record).items()
+    }
+
+
 def _fit_to_scan_row(fit: FitResult, best_aic: float) -> dict:
     return {
         "M": fit.order,
@@ -97,9 +107,9 @@ def build_report(
         "delta_aic_runner_up": scan.delta_aic_runner_up,
         "scan": [_fit_to_scan_row(f, best.aic) for f in scan.fits],
         "scan_failures": {str(m): msg for m, msg in sorted(scan.failures.items())},
-        "gof": asdict(gof) if gof is not None else None,
+        "gof": _record_dict(gof) if gof is not None else None,
         "gof_error": gof_error,
-        "baselines": {name: asdict(b) for name, b in (baselines or {}).items()},
+        "baselines": {name: _record_dict(b) for name, b in (baselines or {}).items()},
         "config": dict(config_echo or {}),
     }
     return report

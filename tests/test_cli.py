@@ -644,6 +644,7 @@ _REPORT_TEXT = st.one_of(
     _JSON.map(json.dumps),
     st.text(max_size=8),
 )
+_ONE_COMPONENT_REPORT = json.dumps({"schema_version": SCHEMA_VERSION, "components": [{"c": 1.0, "b": 2.0, "v": 1.5}]})
 # an inline model spec: valid triples, any float triples or any text
 _MODEL_SPEC = st.one_of(
     _VALID_PARTS,
@@ -666,10 +667,14 @@ class TestArbitraryReports:
     """rank and simulate end in exit 0, 1 or 2 on any report and flags, with
     a message when they fail, never in a traceback."""
 
+    # populations past the largest array numpy holds: 2**63 - 1 once gave an
+    # empty table, the others a traceback
+    _HUGE_POPULATIONS = [str(2**63 - 1), str(2**62), str(10**20)]
+
     @settings(max_examples=80, deadline=None, database=None)
     @given(
         report=_REPORT_TEXT,
-        population=st.one_of(st.integers(-2, 300).map(str), st.just("x")),
+        population=st.one_of(st.integers(-2, 300).map(str), st.sampled_from(["x", *_HUGE_POPULATIONS])),
         component=st.one_of(st.integers(-2, 5).map(str), st.just("0.5")),
     )
     def test_rank_exits_cleanly(self, report, population, component, tmp_path_factory):
@@ -681,6 +686,16 @@ class TestArbitraryReports:
         assert code in (0, 1, 2), (code, err)
         assert "Traceback" not in err
         assert (code == 0) == (err == "") == out.exists(), (code, err)
+
+    @pytest.mark.parametrize("population", _HUGE_POPULATIONS)
+    def test_rank_refuses_huge_populations(self, population, tmp_path):
+        rep = tmp_path / "one.json"
+        rep.write_text(_ONE_COMPONENT_REPORT, encoding="utf-8")
+        out = tmp_path / "rank.tsv"
+        code, err = _exit_of(["rank", str(rep), "--population", population, "--out", str(out)])
+        assert code == 2
+        assert f"population {population} exceeds" in err
+        assert not out.exists()
 
     @settings(max_examples=80, deadline=None, database=None)
     @given(

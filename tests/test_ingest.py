@@ -1,7 +1,6 @@
 """Message-log parsing, reply matching, discretization, count files."""
 
 import io
-import math
 
 import numpy as np
 import pytest
@@ -24,6 +23,7 @@ from lomaxmix import (
     parse_message_log,
     save_counts,
 )
+from lomaxmix import ingest
 from lomaxmix.ingest import _READ_BLOCK, _WRITE_BLOCK, write_delays
 
 # two answered conversations plus one message that never gets a reply
@@ -37,8 +37,13 @@ SIX_MESSAGE_LOG = [
 ]
 
 
+def stream(lines):
+    """A text stream of the lines, each ended by a line break."""
+    return io.StringIO("".join(f"{line}\n" for line in lines))
+
+
 def replies(lines, rule="first-response"):
-    return extract_reply_delays(parse_message_log(lines), rule=rule)
+    return extract_reply_delays(parse_message_log(stream(lines)), rule=rule)
 
 
 class TestExtractReplyDelays:
@@ -111,7 +116,7 @@ class TestExtractReplyDelays:
 
     def test_unknown_rule(self):
         with pytest.raises(DomainError):
-            extract_reply_delays(parse_message_log(SIX_MESSAGE_LOG), rule="nearest")
+            extract_reply_delays(parse_message_log(stream(SIX_MESSAGE_LOG)), rule="nearest")
 
 
 # Small logs over few names with repeated timestamps and self-messages, so
@@ -128,7 +133,7 @@ def _assert_agrees_with_oracle(rows, rule):
     lines = [f"{t},{s},{r}" for t, s, r in rows]
     delays, self_dropped, unanswered = reply_oracle.reply_delays(rows, rule)
     try:
-        sample = extract_reply_delays(parse_message_log(lines), rule=rule)
+        sample = extract_reply_delays(parse_message_log(stream(lines)), rule=rule)
     except DegenerateDataError:
         assert delays == []
         return
@@ -191,7 +196,7 @@ class TestMatchingOracle:
         outcomes = []
         for log in (lines, shuffled):
             try:
-                sample = extract_reply_delays(parse_message_log(log), rule=rule)
+                sample = extract_reply_delays(parse_message_log(stream(log)), rule=rule)
             except DegenerateDataError:
                 outcomes.append(None)
                 continue
@@ -273,7 +278,7 @@ class TestParseMessageLog:
         assert log.timestamps.size == 2
 
     def test_columns_intern_names_in_name_order(self):
-        log = parse_message_log(["9, zed ,amy", "3,amy,bob", "", "4,bob,zed"])
+        log = parse_message_log(stream(["9, zed ,amy", "3,amy,bob", "", "4,bob,zed"]))
         assert log.names == ("amy", "bob", "zed")
         assert log.timestamps.dtype == np.int64
         assert log.timestamps.tolist() == [9, 3, 4]
@@ -303,19 +308,19 @@ class TestParseMessageLog:
 
     def test_timestamp_outside_int64_is_row_error(self):
         lines = [f"{2**63},a,b", f"{2**63 - 1},b,a", f"{-(2**63) - 1},a,b", f"{-(2**63)},a,b"]
-        log = parse_message_log(lines)
+        log = parse_message_log(stream(lines))
         assert log.timestamps.tolist() == [2**63 - 1, -(2**63)]
         assert log.row_errors == (
             (1, f"timestamp {2**63} out of range"),
             (3, f"timestamp {-(2**63) - 1} out of range"),
         )
         with pytest.raises(InputFormatError):
-            parse_message_log([f"{2**64},a,b"])
+            parse_message_log(stream([f"{2**64},a,b"]))
 
     @pytest.mark.parametrize("delimiter", ["", "\n", ",\r"])
     def test_delimiter_must_not_be_empty_or_break_lines(self, delimiter):
         with pytest.raises(DomainError):
-            parse_message_log(SIX_MESSAGE_LOG, delimiter=delimiter)
+            parse_message_log(stream(SIX_MESSAGE_LOG), delimiter=delimiter)
 
 
 class TestCountFiles:
@@ -382,43 +387,51 @@ class TestArbitraryInput:
             pass
 
 
-# Count lines the fast block path must leave to the row parser: zero,
-# signs, underscores and non-ASCII digits (int() takes the last three),
-# counts either side of the int64 limit, comments, unit ids, padding that
-# str.strip() removes and int() rejects ("\x1c"), two counts on one line,
-# unit ids with padding, several commas, an empty id or count, a zero or
-# a 19-digit count, and arbitrary text.  A line of a line list may hold a
-# line break.
+# Count lines the fast block path must leave to the row parser or convert
+# exactly as it does: zero, signs, underscores and non-ASCII digits (int()
+# takes the last three), counts either side of the int64 limit, comments,
+# unit ids, padding that str.strip() removes and int() rejects ("\x1c"),
+# two counts on one line, unit ids with padding, several commas, an empty
+# id or count, a zero or a 19-digit count, two lines in one, non-ASCII
+# unit ids (inside, at either end, alone), non-ASCII padding that
+# str.strip() removes (U+00A0, U+3000) and arbitrary text.
 _ODD_COUNT = st.sampled_from(
     ["0", "007", "+4", "-3", "1_0", "\u0663", "\x1c5\x1c", " 5 ", "5 6", "5\x1c6", "", "#", "# 5",
      "a,5", "a,0", "5,", "1\n2", "# x\n5", str(2**63 - 1), str(2**63), "9" * 19, "1" + "0" * 19,
      "9" * 20, "1" * 5000, "u1,5", "u,1,5", "u1, 5", "u1,5 ", ",5", "u1,", "u1,0", "u1,007",
-     "u1," + "9" * 19, "u1," + "1" + "0" * 18, "#u1,5"]
+     "u1," + "9" * 19, "u1," + "1" + "0" * 18, "#u1,5", "\u00e9,5", "s\u00fcd,5", "\u00e9u,5",
+     "u\u00e9,5", "u1,\u00e95", "\u00a05", "5\u00a0", "\u30005\u3000", "u1,\u00a05", "u1\u3000,5"]
 )
 _COUNT_LINE = st.one_of(st.integers(1, 10**6).map(str), _ODD_COUNT, _LINE)
 
 
+def _edge(kind: str, line: str, eol: str) -> int:
+    """The number of lines of ``line`` that end the first block: a block
+    holds _READ_BLOCK characters, after newline translation for a path."""
+    return _READ_BLOCK // (len(line) + (1 if kind == "path" else len(eol)))
+
+
+def _sources(kind: str, text: str, tmp_path_factory):
+    """A function returning a new source of ``text`` of the given kind at each call."""
+    if kind == "stringio":
+        return lambda: io.StringIO(text)
+    path = tmp_path_factory.mktemp("input") / "input.txt"
+    path.write_bytes(text.encode("utf-8"))
+    return lambda: path
+
+
 @st.composite
 def _count_input(draw):
-    """(kind, file text, lines) of a count input; the drawn lines may sit
-    just before, across or just after the end of the first block."""
-    kind = draw(st.sampled_from(["path", "stringio", "list"]))
+    """(kind, file text) of a count input; the drawn lines may sit just
+    before, across or just after the end of the first block."""
+    kind = draw(st.sampled_from(["path", "stringio"]))
     eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     filler = draw(st.sampled_from(["12", "123456", "1234567890123", "u7,12"]))
     drawn = draw(st.lists(_COUNT_LINE, min_size=1, max_size=4))
-    before = 0
-    if draw(st.booleans()):
-        # a path block holds _READ_BLOCK characters after newline
-        # translation; an iterable block ends at the item that reaches it
-        if kind == "path":
-            edge = _READ_BLOCK // (len(filler) + 1)
-        else:
-            edge = math.ceil(_READ_BLOCK / (len(filler) + len(eol))) - 1
-        before = edge + draw(st.integers(-2, 2))
+    before = _edge(kind, filler, eol) + draw(st.integers(-2, 2)) if draw(st.booleans()) else 0
     after = draw(st.sampled_from([0, 2]))
     lines = [filler] * before + drawn + [filler] * after
-    text = eol.join(lines) + draw(st.sampled_from([eol, ""]))
-    return kind, text, lines
+    return kind, eol.join(lines) + draw(st.sampled_from([eol, ""]))
 
 
 def _outcome(load, source):
@@ -435,21 +448,13 @@ class TestCountOracle:
     @settings(max_examples=150, deadline=None, database=None)
     @given(case=_count_input())
     def test_agrees_with_oracle(self, case, tmp_path_factory):
-        kind, text, lines = case
-        if kind == "path":
-            path = tmp_path_factory.mktemp("counts") / "c.counts"
-            path.write_bytes(text.encode("utf-8"))
-            sources = lambda: path  # noqa: E731
-        elif kind == "stringio":
-            sources = lambda: io.StringIO(text)  # noqa: E731
-        else:
-            sources = lambda: list(lines)  # noqa: E731
+        sources = _sources(*case, tmp_path_factory)
         assert _outcome(load_counts, sources()) == _outcome(count_oracle.load_counts, sources())
 
-    @pytest.mark.parametrize("items", [["1\n2", "5"], ["5\n", "# x\n5", "3"], ["4\r\n", "\n\n", "4"]])
-    def test_line_items_holding_a_line_break(self, items):
-        # an item is one line, whatever it holds
-        assert _outcome(load_counts, items) == _outcome(count_oracle.load_counts, items)
+    @pytest.mark.parametrize("text", ["\ud800,5\n7\n", "u\udfff1,3\n\ud800\n", "5\n" * 3 + "\udc00"])
+    def test_lone_surrogates_in_a_stream(self, text):
+        # a stream's text need not be valid UTF-8; its lone surrogates are read as they stand
+        assert _outcome(load_counts, io.StringIO(text)) == _outcome(count_oracle.load_counts, io.StringIO(text))
 
     @pytest.mark.parametrize("at", [-1, 0, 1])
     def test_bad_byte_near_the_first_block_end(self, tmp_path, at):
@@ -476,18 +481,20 @@ class TestCountOracle:
 
 # Log rows, written with "," for the delimiter, that the block path must
 # leave to the row parser or convert exactly as it does: blank lines,
-# padding that str.strip() removes at each field's ends ("\x1c" too),
-# empty fields, 2 and 4 fields, signs, underscores and non-ASCII digits
-# (int() takes them), 18- and 19-digit timestamps, the int64 limits,
-# names with inner spaces or non-ASCII letters, a header-like row, a
-# self-message and a carriage return.  A line of a line list may hold a
-# line break.
+# padding that str.strip() removes at each field's ends ("\x1c", U+00A0
+# and U+3000 too), empty fields, 2 and 4 fields, signs, underscores and
+# non-ASCII digits (int() takes them), 18- and 19-digit timestamps, the
+# int64 limits, names with inner spaces, names with non-ASCII letters
+# inside, alone or at either end, a header-like row, a self-message, a
+# carriage return and two rows in one.
 _ODD_ROW = st.sampled_from(
     ["", " ", "5,a,b", " 5,a,b", "5 ,a,b", "5, a,b", "5,a ,b", "5,a, b", "5,a,b ", "5,a,b\x1c",
      "\x1c5,a,b", "5,\x1ca,b", "5,,b", "5,a,", ",a,b", "5,a", "5,a,b,c", "+5,a,b", "-5,a,b", "1_0,a,b",
      "\u0663,a,b", "5,\u00e9,b", "5,a b,c d", "9" * 18 + ",a,b", "9" * 19 + ",a,b", "1" + "0" * 18 + ",a,b",
      f"{2**63 - 1},a,b", f"{2**63},a,b", f"{-(2**63)},a,b", "ts,from,to", "5,a,a", "007,a,b", "5,a,b\r",
-     "1\n2,a,b", "5,a,b\n6,b,a"]
+     "1\n2,a,b", "5,a,b\n6,b,a", "5,j\u00fcrgen,zo\u00ebl", "5,\u65e5\u672c\u8a9e,b", "5,\u00e9a,b",
+     "5,a\u00e9,b", "5,a,\u00e9b", "5,a,b\u00e9", "5,\u00a0a,b", "5,a\u00a0,b", "5,a,b\u3000",
+     "\u30005,a,b", "5\u00a0,a,b", "5,\u3000,b"]
 )
 # ",", ";", tab and space; a digit, several characters and a non-ASCII
 # character (the fillers hold no 9, so only the drawn rows see the digit)
@@ -497,29 +504,19 @@ _LOG_FILLER = ["1600000000,ann,bob", "12,x,y", "12345678012,carol,dave"]
 
 @st.composite
 def _log_input(draw):
-    """(kind, file text, lines, delimiter, header) of a message log; the
-    drawn rows may sit just before, across or just after the end of the
-    first block."""
-    kind = draw(st.sampled_from(["path", "stringio", "list"]))
+    """(kind, file text, delimiter, header) of a message log; the drawn
+    rows may sit just before, across or just after the end of the first
+    block."""
+    kind = draw(st.sampled_from(["path", "stringio"]))
     eol = draw(st.sampled_from(["\n", "\r\n"]))
     delimiter = draw(_LOG_DELIMITER)
     filler = draw(st.sampled_from(_LOG_FILLER)).replace(",", delimiter)
     drawn = [row.replace(",", delimiter) for row in draw(st.lists(_ODD_ROW, min_size=1, max_size=4))]
-    before = 0
-    if draw(st.booleans()):
-        # lines that end the first block: a path block holds _READ_BLOCK
-        # characters after newline translation; an iterable block ends at
-        # the item that reaches _READ_BLOCK characters
-        item = {"path": 1, "stringio": len(eol), "list": 0}[kind]
-        if kind == "path":
-            edge = _READ_BLOCK // (len(filler) + 1)
-        else:
-            edge = math.ceil(_READ_BLOCK / (len(filler) + item)) - 1
-        before = edge + draw(st.integers(-2, 2))
+    before = _edge(kind, filler, eol) + draw(st.integers(-2, 2)) if draw(st.booleans()) else 0
     after = draw(st.sampled_from([0, 2]))
     lines = [filler] * before + drawn + [filler] * after
     text = eol.join(lines) + draw(st.sampled_from([eol, ""]))
-    return kind, text, lines, delimiter, draw(st.booleans())
+    return kind, text, delimiter, draw(st.booleans())
 
 
 def _log_outcome(parse, source, delimiter, header):
@@ -537,14 +534,34 @@ class TestLogOracle:
     @settings(max_examples=200, deadline=None, database=None)
     @given(case=_log_input())
     def test_agrees_with_oracle(self, case, tmp_path_factory):
-        kind, text, lines, delimiter, header = case
-        if kind == "path":
-            path = tmp_path_factory.mktemp("logs") / "log.csv"
-            path.write_bytes(text.encode("utf-8"))
-            sources = lambda: path  # noqa: E731
-        elif kind == "stringio":
-            sources = lambda: io.StringIO(text)  # noqa: E731
-        else:
-            sources = lambda: list(lines)  # noqa: E731
+        kind, text, delimiter, header = case
+        sources = _sources(kind, text, tmp_path_factory)
         ours = _log_outcome(parse_message_log, sources(), delimiter, header)
         assert ours == _log_outcome(log_oracle.parse_message_log, sources(), delimiter, header)
+
+    @pytest.mark.parametrize("text", ["5,a\ud800b,c\n6,c,a\ud800b\n", "5,\udfff,\ud800\n", "5,a,b\ud800"])
+    def test_lone_surrogates_in_a_stream(self, text):
+        # a stream's text need not be valid UTF-8; its lone surrogates stay in the names
+        ours = _log_outcome(parse_message_log, io.StringIO(text), ",", False)
+        assert ours == _log_outcome(log_oracle.parse_message_log, io.StringIO(text), ",", False)
+        assert any("\ud800" in name or "\udfff" in name for name in ours[1])
+
+    def test_clean_non_ascii_rows_skip_the_row_parser(self, monkeypatch):
+        # non-ASCII letters inside a name leave a row clean; at a field's edge they flag it
+        parsed = []
+
+        def counting_log_rows(lines, *args):
+            lines = list(lines)
+            parsed.extend(lineno for lineno, _ in lines)
+            return log_rows(lines, *args)
+
+        log_rows = ingest._log_rows
+        monkeypatch.setattr(ingest, "_log_rows", counting_log_rows)
+        rows = [
+            "1,j\u00fcrgen,zo\u00ebl", "2,zo\u00ebl,j\u00fcrgen", "3,x\u65e5\u672cy,a b", "4,\u00e9a,b", "5,a,b\u00a0"
+        ]
+        log = parse_message_log(stream(rows))
+        assert parsed == [4, 5]
+        assert log.names == ("a", "a b", "b", "j\u00fcrgen", "x\u65e5\u672cy", "zo\u00ebl", "\u00e9a")
+        assert log.timestamps.tolist() == [1, 2, 3, 4, 5]
+        assert log.row_errors == ()
