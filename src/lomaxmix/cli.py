@@ -358,7 +358,9 @@ def _add_fit_flags(p) -> None:
     p.add_argument(
         "--tol", type=float, default=1e-11,
         help="a start converges when its projected gradient is at most tol * max(1, |logL|), "
-        "or logL rose by less than that over its last 10 steps",
+        "or logL rose by less than that over its last 10 steps, or its search fails along the "
+        "scaled gradient; a step whose predicted rise logL cannot resolve is tested on the "
+        "derivative",
     )
     p.add_argument("--alpha", type=float, default=0.001, help="gof significance level")
 

@@ -230,7 +230,7 @@ def _log_survival_terms(b, k: np.ndarray) -> np.ndarray:
     return np.log1p(s, out=s)
 
 
-def _component_terms(b, v, k: np.ndarray):
+def _component_terms(b, v, k: np.ndarray, out=None):
     """s, t and v t of each component, shaped b.shape + (K,).
 
     s = log1p((k - 1) / b) and t = log1p(-1 / (k + b)), so the survival is
@@ -238,13 +238,18 @@ def _component_terms(b, v, k: np.ndarray):
     their product.  b and v are (M,) for one model or (S, M) for S models.
     Each operation writes into its operand: fresh (M, K) temporaries past
     malloc's mmap threshold fault in page by page, which made a 14k-value
-    objective 1.5x slower.  In place rounds the same, bit for bit.
+    objective 1.5x slower.  In place rounds the same, bit for bit.  ``out``
+    is None or five arrays of that shape for (k - 1) / b, s, k + b, t and
+    v t: a caller that needs the quotient and the sum again allocates them
+    once and reads them back.
     """
-    s = _log_survival_terms(b, k)
-    t = k + b[..., None]
-    np.divide(-1.0, t, out=t)
+    z, s, kb, t, vt = out or (None,) * 5
+    z = np.divide(k - 1.0, b[..., None], out=z)
+    s = np.log1p(z, out=z if s is None else s)
+    kb = np.add(k, b[..., None], out=kb)
+    t = np.divide(-1.0, kb, out=kb if t is None else t)
     np.log1p(t, out=t)
-    return s, t, t * v[..., None]
+    return s, t, np.multiply(t, v[..., None], out=vt)
 
 
 def _log_survival_and_step(b, v, k: np.ndarray):

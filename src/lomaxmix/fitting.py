@@ -56,6 +56,10 @@ _LOGIT_BOUND = 34.5  # a stick-breaking weight at this bound is ~1e-15
 _BLOCK = 1024
 _MAX_HALVINGS = 10  # per line search
 _ARMIJO = 1e-4
+_EPS = float(np.finfo(float).eps)
+# Hager and Zhang's approximate Wolfe test for a step whose predicted decrease
+# f cannot resolve: sigma phi'(0) <= phi'(1) <= (2 delta - 1) phi'(0)
+_WOLFE_SIGMA, _WOLFE_DELTA = 0.9, 0.1
 _WINDOW = 10  # steps over which a decrease below tol ends a start
 
 
@@ -111,9 +115,12 @@ class FitConfig:
 
     ``starts`` starts are drawn from ``seed`` and searched together.  A
     start converges when its projected gradient is at most ``tol``
-    max(1, |f|), f the negative log-likelihood, or when f fell by less than
-    that over its last 10 steps.  A start that spends ``max_evals``
-    evaluations of the objective and its gradient stops unconverged.
+    max(1, |f|), f the negative log-likelihood, when f fell by less than
+    that over its last 10 steps, or when its search fails along the scaled
+    gradient.  A step that predicts a decrease f cannot resolve (the noise
+    floor, at most eps max(1, |f|)) is tested on the derivative, not on
+    f; see ``_minimize``.  A start that spends ``max_evals`` evaluations
+    of the objective and its gradient stops unconverged.
     """
 
     starts: int = 20
@@ -253,19 +260,22 @@ def _objective(theta: np.ndarray, ks: np.ndarray, counts: np.ndarray):
     order = (n_par + 1) // 3
     c, b, v = _unpack(theta, order)
     log_c = np.log(c)[:, :, None]
-    b_col, neg_v = b[:, :, None], -v[:, :, None]
+    neg_v = -v[:, :, None]
     nll = np.zeros(rows)
     resp = np.zeros((rows, order))
     grad_b = np.zeros((rows, order))
     grad_v = np.zeros((rows, order))
+    # every slab's terms, in buffers allocated once; see _component_terms
+    bufs = np.empty((7, rows, order, min(ks.size, _BLOCK)))
     for lo in range(0, ks.size, _BLOCK):
         k, n = ks[lo : lo + _BLOCK], counts[lo : lo + _BLOCK]
-        s, t, d = _component_terms(b, v, k)
-        q = np.exp(d)
+        z, s, kb, t, d, q, logp = bufs[..., : k.size]
+        _component_terms(b, v, k, out=(z, s, kb, t, d))  # z = (k - 1) / b, kb = k + b
+        np.exp(d, out=q)
         np.expm1(d, out=d)
         np.negative(d, out=d)  # D
         q /= d  # Q
-        logp = s * neg_v
+        np.multiply(s, neg_v, out=logp)
         logp += np.log(d, out=d)
         logp += log_c
         if order == 1:
@@ -284,10 +294,7 @@ def _objective(theta: np.ndarray, ks: np.ndarray, counts: np.ndarray):
         t += s  # s + t Q
         grad_v += np.multiply(t, w, out=t).sum(axis=2)
         # (k - 1)/(k - 1 + b) - Q b/((k - 1 + b)(k + b)) = (z - Q / (k + b)) / (1 + z)
-        # with z = (k - 1) / b
-        z = np.divide(k - 1.0, b_col, out=s)
-        np.add(k, b_col, out=d)
-        np.divide(q, d, out=q)
+        q /= kb
         np.subtract(z, q, out=q)
         z += 1.0
         q /= z
@@ -352,13 +359,19 @@ def _minimize(fun, x, lo, hi, tol: float, max_evals: int):
     -H g, H a per-row inverse-Hessian estimate on the free parameters.  A
     parameter that becomes held leaves H, one released re-enters it as the
     scaled identity, so H keeps what it learned.  A backtracking line search
-    halves a step at most _MAX_HALVINGS times; failing along -H g, the row
-    retries along the scaled gradient, and failing there it has converged
-    (its noise floor).  It also converges when its projected gradient is at
-    most tol max(1, |f|) or f fell by less than that over its last _WINDOW
-    steps, and stops unconverged after ``max_evals`` evaluations.  A row's
-    path depends on that row alone.  Returns the final rows, objectives,
-    convergence flags and evaluation counts.
+    halves a step p at most _MAX_HALVINGS times until f falls by the Armijo
+    fraction of the decrease -g.p predicts.  At the noise floor, where that
+    prediction is at most eps max(1, |f|) and f's rounding hides it, the
+    search is one trial x_p at the full step, accepted on Hager and Zhang's
+    approximate Wolfe test: f_p <= f + eps max(1, |f|) and sigma phi'(0) <=
+    phi'(1) <= (2 delta - 1) phi'(0), with phi'(0) = g.(x_p - x) and phi'(1)
+    = g_p.(x_p - x).  Failing along -H g, the row retries along the scaled
+    gradient, and failing there it has converged.  It also converges when
+    its projected gradient is at most tol max(1, |f|) or f fell by less
+    than that over its last _WINDOW steps, and stops unconverged after
+    ``max_evals`` evaluations.  A row's path depends on that row alone.
+    Returns the final rows, objectives, convergence flags and evaluation
+    counts.
     """
     n_par = x.shape[1]
     diag = np.arange(n_par)
@@ -383,8 +396,8 @@ def _minimize(fun, x, lo, hi, tol: float, max_evals: int):
                 dst[row[done]] = val[done]
             if done.all():
                 return tuple(out)
-            state = (row, x, f, g, evals, converged, h_inv, fresh, gamma, held, recent)
-            row, x, f, g, evals, converged, h_inv, fresh, gamma, held, recent = (
+            state = (row, x, f, g, evals, converged, h_inv, fresh, gamma, held, recent, limit)
+            row, x, f, g, evals, converged, h_inv, fresh, gamma, held, recent, limit = (
                 a[~done] for a in state
             )
 
@@ -394,6 +407,9 @@ def _minimize(fun, x, lo, hi, tol: float, max_evals: int):
         fresh |= (step * g_free).sum(axis=1) >= 0.0  # not a descent direction
         scale = np.where(np.isnan(gamma), 1.0 / np.abs(g_free).max(axis=1), gamma)
         step = np.where(fresh[:, None], -scale[:, None] * g_free, step)
+        # the noise floor: the decrease -g.step predicts is at most
+        # eps max(1, |f|) = limit eps / tol, below what f can resolve
+        floor = (step * g_free).sum(axis=1) * (-tol / _EPS) <= limit
 
         trial, f_t, g_t = x.copy(), f.copy(), g.copy()
         good = np.zeros(row.size, dtype=bool)
@@ -402,14 +418,24 @@ def _minimize(fun, x, lo, hi, tol: float, max_evals: int):
             x_p = np.clip(x[pending] + 0.5**halving * step[pending], lo, hi)
             f_p, g_p = fun(x_p)
             evals[pending] += 1
-            ok = f_p <= f[pending] + _ARMIJO * ((x_p - x[pending]) * g[pending]).sum(axis=1)
+            dx = x_p - x[pending]
+            slope = (dx * g[pending]).sum(axis=1)  # phi'(0)
+            ok = f_p <= f[pending] + _ARMIJO * slope
+            retry = ~ok & (evals[pending] < max_evals)
+            if halving == 0 and floor.any():  # one trial, tested on the derivative
+                end = (dx * g_p).sum(axis=1)  # phi'(1)
+                wolfe = (f_p <= f + limit * (_EPS / tol)) & (
+                    (_WOLFE_SIGMA * slope <= end) & (end <= (2.0 * _WOLFE_DELTA - 1.0) * slope)
+                )
+                ok = np.where(floor, wolfe, ok)
+                retry &= ~floor
             moved = pending[ok]
             trial[moved], f_t[moved], g_t[moved], good[moved] = x_p[ok], f_p[ok], g_p[ok], True
-            pending = pending[~ok & (evals[pending] < max_evals)]
+            pending = pending[retry]
             if pending.size == 0:
                 break
         failed = ~good & (evals < max_evals)
-        converged |= failed & fresh  # the noise floor
+        converged |= failed & fresh  # failed along the scaled gradient too
         fresh |= failed
 
         # BFGS update on the free parameters; a fresh row first gets gamma I

@@ -20,6 +20,7 @@ are tallied with their line numbers and processing continues.
 from __future__ import annotations
 
 import contextlib
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 from operator import itemgetter
@@ -70,8 +71,10 @@ class ReplyDelaySample:
         d = np.asarray(self.delays, dtype=float)
         if np.any(d < 0.0) or not np.all(np.isfinite(d)):
             raise DomainError("delays must be finite and >= 0")
-        if not self.discretization > 0.0:
-            raise DomainError(f"discretization must be > 0, got {self.discretization!r}")
+        if not (math.isfinite(self.discretization) and self.discretization > 0.0):
+            raise DomainError(
+                f"discretization dt must be finite and > 0, got {self.discretization!r}"
+            )
         object.__setattr__(self, "delays", d)
 
 
@@ -386,9 +389,18 @@ def _exclusive_responses(conversation, times, forward, new_run):
 
 
 def discretize(sample: ReplyDelaySample) -> CountSample:
-    """Map delays to counts k = max(1, ceil(delay / dt)); support starts at 1."""
-    k = np.maximum(1, np.ceil(sample.delays / sample.discretization)).astype(np.int64)
-    return CountSample(k)
+    """Map delays to counts k = max(1, ceil(delay / dt)); support starts at 1.
+
+    A count that int64 cannot hold raises: dt is too small for the delays.
+    """
+    with np.errstate(over="ignore"):  # a quotient past the float range is inf, refused below
+        k = np.ceil(sample.delays / sample.discretization)
+    if np.any(k >= 2.0**63):  # the smallest float past int64
+        raise DomainError(
+            f"dt = {sample.discretization!r} s gives a count past {_MAX_COUNT} for a delay of "
+            f"{float(sample.delays.max())!r} s"
+        )
+    return CountSample(np.maximum(1, k).astype(np.int64))
 
 
 def _read_blocks(source):

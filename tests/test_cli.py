@@ -430,6 +430,16 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and bad in err and "Traceback" not in err
 
+    # the log's one delay is 60 s: 1e-20 puts its count past int64
+    @pytest.mark.parametrize("dt", ["inf", "1e-20"])
+    def test_replies_bad_dt_exit_2(self, tmp_path, message_log, capsys, dt):
+        out = [str(tmp_path / "d"), str(tmp_path / "c")]
+        argv = ["replies", str(message_log), "--dt", dt, "--out-delays", out[0], "--out-counts", out[1]]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "dt" in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == [message_log]
+
     def test_replies_leaves_no_partial_output(self, tmp_path, message_log, capsys):
         delays, kept = tmp_path / "d.out", tmp_path / "kept.out"
         kept.write_text("earlier\n")

@@ -274,6 +274,47 @@ class TestFitter:
         for fewer, more in zip(fits, fits[1:]):
             assert more.log_likelihood >= fewer.log_likelihood
 
+    def test_rows_at_the_noise_floor_reach_the_gradient_rule(self):
+        # f is 5e6 plus a steep bowl, and 3 in 4 points evaluate one ulp
+        # high, as a long sum rounds.  Near the optimum the decrease a step
+        # predicts is below eps |f|, so a decrease test compares rounding
+        # noise; the derivative does not.  Armijo backtracking alone stops 3
+        # of these 12 rows with a relative projected gradient up to 1.9e-9,
+        # and spends up to 64 evaluations on a row, 318 in all.
+        big, tol = 5e6, 1e-11
+        curv = 1e7 * np.array([1.0, 30.0])
+
+        def fun(x):
+            u = x - 0.3
+            w = u[:, 0] - u[:, 1]
+            mixed = x.view(np.uint64).sum(axis=1) * np.uint64(0x9E3779B97F4A7C15)
+            noise = np.spacing(big) * (mixed >> np.uint64(62) != 0)
+            f = big + (curv * (np.cosh(u) - 1.0)).sum(axis=1) + curv[0] * w**4 + noise
+            return f, curv * np.sinh(u) + 4.0 * curv[0] * w[:, None] ** 3 * np.array([1.0, -1.0])
+
+        x0 = 0.3 + np.random.default_rng(0).normal(0.0, 0.5, (12, 2))
+        lo, hi = np.full(2, -5.0), np.full(2, 5.0)
+        x, f, converged, evals = fitting._minimize(fun, x0, lo, hi, tol, 50_000)
+        g = fun(x)[1]
+        assert converged.all()
+        assert (np.abs(np.clip(x - g, lo, hi) - x).max(axis=1) <= tol * np.maximum(1.0, f)).all()
+        assert evals.max() <= 25 and evals.sum() <= 250
+
+    def test_a_row_at_the_noise_floor_takes_one_trial(self):
+        # the scaled-gradient step predicts a decrease of 2.5e-12, far below
+        # eps f, and every point but the start evaluates 8 ulps high: the
+        # trial fails its test, and a row that fails along the scaled
+        # gradient has converged, without halving the step (tol is below
+        # eps, so the gradient rule cannot end the row first)
+        big, start = 4e6, np.array([[0.5, -0.5]])
+
+        def fun(x):
+            moved = (x != start).any(axis=1)
+            return big + 8.0 * np.spacing(big) * moved, np.tile([1e-12, -2e-12], (x.shape[0], 1))
+
+        _, f, converged, evals = fitting._minimize(fun, start, -np.ones(2), np.ones(2), 1e-20, 50)
+        assert converged.tolist() == [True] and evals.tolist() == [2] and f[0] == big
+
     def test_evaluation_cap_is_per_start(self, data, monkeypatch):
         real = fitting._minimize
         results = []

@@ -6,11 +6,13 @@ import pytest
 from lomaxmix import (
     CountSample,
     DomainError,
+    FitConfig,
     InsufficientResolutionError,
     MixtureModel,
     ValidationError,
     chi_square_test,
     empirical_ccdf,
+    fit_mixture,
     mixture_ccdf,
     sample_mixture,
 )
@@ -118,6 +120,23 @@ class TestChiSquareTest:
         ]
         assert reps[0].chi2 == reps[1].chi2
         assert reps[0].p_value == reps[1].p_value
+
+    def test_level_with_fitted_parameters(self):
+        """The level holds when the M = 2 fit's 5 parameters come off dof.
+
+        Samples of 500 from a two-component truth, seeds 0 to 99, each
+        fitted with 5 starts and tested at alpha = 0.1.  With dof = bins - 1
+        - 5 the rejections are Bin(100, 0.1), and [3, 20] leaves about 1e-3
+        in each tail.  These fits reject 8 (a median of 23 bins); with dof =
+        bins - 1 they reject 1.  Budget: 100 fits and tests, about 5 s.
+        """
+        truth = MixtureModel.from_parameters([0.7, 0.3], [2.0, 20.0], [1.2, 3.0])
+        rejected = 0
+        for seed in range(100):
+            data = sample_mixture(truth, 500, seed=seed)
+            fit = fit_mixture(data, 2, FitConfig(starts=5))
+            rejected += chi_square_test(fit.model, data, fit.n_params, 0.1).rejected
+        assert 3 <= rejected <= 20
 
     def test_too_small_sample(self):
         model = single(1.0, 1.0)

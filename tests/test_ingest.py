@@ -266,6 +266,23 @@ class TestDiscretize:
         with pytest.raises(DomainError):
             ReplyDelaySample(delays=np.array([1.0]), discretization=0.0)
 
+    @pytest.mark.parametrize("dt", [float("inf"), float("nan")])
+    def test_finite_step_required(self, dt):
+        with pytest.raises(DomainError, match="dt"):
+            ReplyDelaySample(delays=np.array([1.0]), discretization=dt)
+
+    # 2**62 / 0.5 is 2**63, one past int64; 1e-20 puts a 60 s delay past
+    # int64, and the smallest float step past the float range
+    @pytest.mark.parametrize("delay, dt", [(2.0**62, 0.5), (60.0, 1e-20), (60.0, 5e-324)])
+    def test_count_past_int64_refused(self, delay, dt):
+        sample = ReplyDelaySample(delays=np.array([0.0, delay]), discretization=dt)
+        with pytest.raises(DomainError, match="dt"):
+            discretize(sample)
+
+    def test_largest_counts_kept(self):
+        sample = ReplyDelaySample(delays=np.array([2.0**62, 2.0**63 - 1024]), discretization=1.0)
+        assert list(discretize(sample).values) == [2**62, 2**63 - 1024]
+
 
 class TestParseMessageLog:
     def test_parses_and_tallies(self, tmp_path):
