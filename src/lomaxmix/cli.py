@@ -60,7 +60,7 @@ from .report import (
     sample_digest,
     write_report,
 )
-from .simulate import sample_mixture
+from .simulate import _MAX_SIZE, sample_mixture
 
 EXIT_OK = 0
 EXIT_EMPTY = 1
@@ -69,8 +69,6 @@ EXIT_INPUT = 2
 # OSError: an output path that cannot be written (inputs map their own)
 _INPUT_ERRORS = (InputFormatError, ValidationError, DomainError, OSError)
 _EMPTY_ERRORS = (DegenerateDataError, FitError, InsufficientResolutionError)
-# the most int64 ranks numpy holds in one array: its byte size must fit intp
-_MAX_RANKS = np.iinfo(np.intp).max // np.dtype(np.int64).itemsize
 
 
 def _err(msg: str) -> None:
@@ -276,8 +274,8 @@ def cmd_rank(args) -> int:
     idx = args.component
     if not 0 <= idx < model.order:
         raise DomainError(f"component index {idx} out of range for M={model.order}")
-    if args.population > _MAX_RANKS:
-        raise DomainError(f"population {args.population} exceeds the {_MAX_RANKS} rows a rank table can hold")
+    if args.population > _MAX_SIZE:
+        raise DomainError(f"population {args.population} exceeds the {_MAX_SIZE} rows a rank table can hold")
     comp = model.components[idx]
     rm = RankModel(shape=comp.shape, scale=comp.scale, population=args.population)
     ranks = np.arange(1, args.population + 1)

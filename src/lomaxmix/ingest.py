@@ -495,7 +495,10 @@ def _block_counts(data: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.
         return None
     # the last byte other than 0-9 before each line's end, or -1
     nondigits = np.flatnonzero(data - np.uint8(48) > 9)
-    last = np.append(-1, nondigits)[np.searchsorted(nondigits, ends)]
+    if np.array_equal(nondigits, ends):  # the line breaks are the block's only non-digits
+        last = np.append(-1, ends[:-1])
+    else:
+        last = np.append(-1, nondigits)[np.searchsorted(nondigits, ends)]
     run = ends - last - 1
     if run.min() < 1 or run.max() > _FAST_DIGITS or np.any((last >= starts) & (data[last] != ord(","))):
         return None
@@ -566,9 +569,14 @@ def _digit_lines(values: np.ndarray, suffix: bytes) -> bytes:
     grid = np.empty((values.size, width + len(suffix)), dtype=np.uint8)
     grid[:, width:] = np.frombuffer(suffix, dtype=np.uint8)
     keep = np.ones(grid.shape, dtype=bool)  # False on the leading zeros
-    rest = values.copy()
+    rest = values
     for column in range(width - 1, -1, -1):
         keep[:, column] = (rest > 0) | (column == width - 1)
-        grid[:, column] = rest % 10 + ord("0")
-        rest //= 10
+        # rest % 10 as rest - 10 * (rest // 10): int64 `%` misses the fast constant-divisor path of `//`
+        tens = rest // 10
+        digit = tens * -10
+        digit += rest
+        digit += ord("0")
+        grid[:, column] = digit
+        rest = tens
     return grid[keep].tobytes()

@@ -34,7 +34,7 @@ SCHEMA_VERSION = "lomaxmix/1"
 def sample_digest(sample: CountSample) -> str:
     """SHA-256 of the canonical distinct-value representation."""
     ks, counts = sample.distinct()
-    payload = "\n".join(f"{int(k)}:{int(c)}" for k, c in zip(ks, counts))
+    payload = "\n".join(f"{k}:{c}" for k, c in zip(ks.tolist(), counts.tolist()))
     return hashlib.sha256(payload.encode("ascii")).hexdigest()
 
 

@@ -680,6 +680,8 @@ class TestArbitraryReports:
     # populations past the largest array numpy holds: 2**63 - 1 once gave an
     # empty table, the others a traceback
     _HUGE_POPULATIONS = [str(2**63 - 1), str(2**62), str(10**20)]
+    # draw counts past the largest array numpy holds: each once ended in a traceback
+    _HUGE_DRAWS = [str(2**60), str(2**62), str(2**63 - 1), str(10**20)]
 
     @settings(max_examples=80, deadline=None, database=None)
     @given(
@@ -707,11 +709,19 @@ class TestArbitraryReports:
         assert f"population {population} exceeds" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("n", _HUGE_DRAWS)
+    def test_simulate_refuses_huge_draw_counts(self, n, tmp_path):
+        out = tmp_path / "sim.counts"
+        code, err = _exit_of(["simulate", "--model", "1:1:1", "-n", n, "--out", str(out)])
+        assert code == 2
+        assert f"n = {n} exceeds" in err
+        assert not out.exists()
+
     @settings(max_examples=80, deadline=None, database=None)
     @given(
         report=st.none() | _REPORT_TEXT,
         model=st.none() | _MODEL_SPEC,
-        n=st.one_of(st.integers(-2, 30).map(str), st.just("x")),
+        n=st.one_of(st.integers(-2, 30).map(str), st.sampled_from(["x", *_HUGE_DRAWS])),
         seed=st.one_of(st.integers(), st.integers(2**63 - 2, 2**64 + 2)).map(str),
     )
     def test_simulate_exits_cleanly(self, report, model, n, seed, tmp_path_factory):

@@ -468,6 +468,13 @@ class TestCountOracle:
         sources = _sources(*case, tmp_path_factory)
         assert _outcome(load_counts, sources()) == _outcome(count_oracle.load_counts, sources())
 
+    @pytest.mark.parametrize("kind", ["path", "stringio"])
+    def test_as_many_non_digits_as_lines(self, kind, tmp_path_factory):
+        # a comma is one of the two non-digits, and the last line has no line break
+        sources = _sources(kind, "12\n3,4", tmp_path_factory)
+        assert _outcome(load_counts, sources()) == _outcome(count_oracle.load_counts, sources())
+        assert load_counts(sources()).sample.values.tolist() == [12, 4]
+
     @pytest.mark.parametrize("text", ["\ud800,5\n7\n", "u\udfff1,3\n\ud800\n", "5\n" * 3 + "\udc00"])
     def test_lone_surrogates_in_a_stream(self, text):
         # a stream's text need not be valid UTF-8; its lone surrogates are read as they stand

@@ -1,5 +1,6 @@
 """Sampler correctness: exact inverse transforms, moments, reproducibility."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -13,9 +14,10 @@ from lomaxmix import (
     chi_square_test,
     sample_mixture,
 )
-from lomaxmix.simulate import _counts_from_rates, _gamma_variates, _rng
+from lomaxmix.simulate import _CHUNK, _counts_from_rates, _gamma_variates, _rng
 
 import mechanism
+import sampler_reference
 
 
 def single(b, v):
@@ -131,6 +133,57 @@ class TestMixtureSampler:
 
     def test_largest_seed_accepted(self):
         assert sample_mixture(single(1.0, 1.0), 10, seed=2**128 - 1).size == 10
+
+
+class TestStreamReference:
+    """The chunked, in-place sampler draws the same values as the whole-array
+    reference of sampler_reference, across chunk edges and both gamma branches."""
+
+    SIZES = [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 200_000]
+
+    @pytest.mark.parametrize("shape", [0.05, 0.3, 0.9, 1.0, 1.3, 3.0, 40.0])
+    def test_gamma_variates(self, shape):
+        for size in self.SIZES:
+            for seed in (0, 1, 2):
+                got = _gamma_variates(_rng(seed), shape, size)
+                want = sampler_reference.gamma_variates(_rng(seed), shape, size)
+                assert np.array_equal(got, want), (size, seed)
+
+    def test_counts_from_rates(self):
+        for size in self.SIZES:
+            lam = np.geomspace(1e-12, 30.0, size)
+            lam[::7] = 0.0
+            got = _counts_from_rates(_rng(size), lam)
+            want = sampler_reference.counts_from_rates(_rng(size), lam)
+            assert np.array_equal(got, want), size
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ([1.0], [2.0], [0.4]),
+            ([0.7, 0.3], [5.0, 500.0], [0.9, 1.3]),
+            ([0.2, 0.5, 0.3], [1.0, 30.0, 4.0], [2.5, 0.05, 40.0]),
+            ([1e-9, 1.0 - 2e-9, 1e-9], [3.0, 3.0, 3.0], [1.2, 3.0, 0.3]),
+        ],
+    )
+    def test_sample_mixture(self, spec):
+        model = MixtureModel.from_parameters(*spec)
+        for n, seed in [(1, 0), (_CHUNK + 1, 3), (200_000, 4)]:
+            want = sampler_reference.sample_values(model, n, _rng(seed))
+            assert np.array_equal(sample_mixture(model, n, seed).values, want), (n, seed)
+
+    @pytest.mark.parametrize(
+        ("seed", "digest"),
+        [
+            (0, "c8c059d1fdc5685e81b79e0cdc70f3c38c14266dbb271e29cd0c5b96b1d233d1"),
+            (1, "66ff0246ca3dbeeccbbbde7b8befc395ae7881c7d920512124fee0c93ea21018"),
+        ],
+    )
+    def test_golden_wide_stream(self, seed, digest):
+        # 0.7:5:0.9,0.3:500:1.3 reaches the boost below shape 1 and several rejection rounds
+        model = MixtureModel.from_parameters([0.7, 0.3], [5.0, 500.0], [0.9, 1.3])
+        values = sample_mixture(model, 300_000, seed).values
+        assert hashlib.sha256(values.tobytes()).hexdigest() == digest
 
 
 class TestCompetingObservables:
