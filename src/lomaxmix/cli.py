@@ -9,6 +9,7 @@ degenerate result, 2 input, output or validation error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import os
 import sys
@@ -66,8 +67,9 @@ EXIT_OK = 0
 EXIT_EMPTY = 1
 EXIT_INPUT = 2
 
-# OSError: an output path that cannot be written (inputs map their own)
-_INPUT_ERRORS = (InputFormatError, ValidationError, DomainError, OSError)
+# OSError: an output path that cannot be written (inputs map their own);
+# MemoryError: a size the machine cannot allocate
+_INPUT_ERRORS = (InputFormatError, ValidationError, DomainError, OSError, MemoryError)
 _EMPTY_ERRORS = (DegenerateDataError, FitError, InsufficientResolutionError)
 
 
@@ -126,12 +128,7 @@ def cmd_replies(args) -> int:
 
 
 def _fit_config(args) -> FitConfig:
-    return FitConfig(
-        starts=args.starts,
-        seed=args.seed,
-        max_evals=args.max_evals,
-        tol=args.tol,
-    )
+    return FitConfig(starts=args.starts, seed=args.seed)
 
 
 def _print_scan_table(scan) -> None:
@@ -148,17 +145,19 @@ def _print_scan_table(scan) -> None:
 
 def cmd_scan(args) -> int:
     sample = _load_sample(args.counts)
-    scan = scan_orders(sample, args.m_max, _fit_config(args))
-    return _report_fits(args, sample, scan, m_max=args.m_max)
+    config = _fit_config(args)
+    scan = scan_orders(sample, args.m_max, config)
+    return _report_fits(args, sample, scan, config, m_max=args.m_max)
 
 
 def cmd_fit(args) -> int:
     sample = _load_sample(args.counts)
-    fit = fit_mixture(sample, args.m, _fit_config(args))
-    return _report_fits(args, sample, ScanResult(fits=(fit,), best_index=0), m_max=args.m)
+    config = _fit_config(args)
+    fit = fit_mixture(sample, args.m, config)
+    return _report_fits(args, sample, ScanResult(fits=(fit,), best_index=0), config, m_max=args.m)
 
 
-def _report_fits(args, sample, scan: ScanResult, m_max: int) -> int:
+def _report_fits(args, sample, scan: ScanResult, config: FitConfig, m_max: int) -> int:
     """Test the selected fit, fit the baselines, write the report, print."""
     best = scan.best
 
@@ -177,15 +176,7 @@ def _report_fits(args, sample, scan: ScanResult, m_max: int) -> int:
             baseline_errors[name] = str(exc)
             _err(f"baseline {name} failed: {exc}")
 
-    config_echo = {
-        "seed": args.seed,
-        "starts": args.starts,
-        "max_evals": args.max_evals,
-        "m_max": m_max,
-        "alpha": args.alpha,
-        "dt": getattr(args, "dt", None),
-        "reply_rule": getattr(args, "rule", None),
-    }
+    config_echo = {**dataclasses.asdict(config), "m_max": m_max, "alpha": args.alpha}
     report = build_report(
         scan,
         sample,
@@ -348,18 +339,6 @@ def cmd_simulate(args) -> int:
 def _add_fit_flags(p) -> None:
     p.add_argument("--starts", type=int, default=20, help="multi-start count")
     p.add_argument("--seed", type=int, default=0, help="random seed")
-    p.add_argument(
-        "--max-evals", type=int, default=50_000,
-        help="per-start cap on evaluations of the objective and its gradient; a start "
-        "that reaches it is unconverged",
-    )
-    p.add_argument(
-        "--tol", type=float, default=1e-11,
-        help="a start converges when its projected gradient is at most tol * max(1, |logL|), "
-        "or logL rose by less than that over its last 10 steps, or its search fails along the "
-        "scaled gradient; a step whose predicted rise logL cannot resolve is tested on the "
-        "derivative",
-    )
     p.add_argument("--alpha", type=float, default=0.001, help="gof significance level")
 
 

@@ -61,6 +61,8 @@ _EPS = float(np.finfo(float).eps)
 # f cannot resolve: sigma phi'(0) <= phi'(1) <= (2 delta - 1) phi'(0)
 _WOLFE_SIGMA, _WOLFE_DELTA = 0.9, 0.1
 _WINDOW = 10  # steps over which a decrease below tol ends a start
+_TOL = 1e-11  # the relative stop tolerance of every fit; see _minimize
+_MAX_EVALS = 50_000  # evaluations of the objective and its gradient per start
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,13 +83,14 @@ class CountSample:
         if vals.dtype.kind == "f":
             if np.any(vals != np.floor(vals)) or not np.all(np.isfinite(vals)):
                 raise DomainError("sample values must be integers")
-            vals = vals.astype(np.int64)
         elif vals.dtype.kind not in "iu":
             raise DomainError(f"sample values must be integers, got dtype {vals.dtype}")
-        else:
-            vals = vals.astype(np.int64)
         if np.any(vals < 1):
             raise DomainError("sample values must be >= 1")
+        # only these dtypes hold values that int64 cannot
+        if (vals.dtype.kind == "f" or vals.dtype == np.uint64) and np.any(vals >= 2**63):
+            raise DomainError(f"sample values must be <= {2**63 - 1}")
+        vals = vals.astype(np.int64)
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
@@ -113,28 +116,17 @@ class CountSample:
 class FitConfig:
     """Knobs of the multi-start quasi-Newton search.
 
-    ``starts`` starts are drawn from ``seed`` and searched together.  A
-    start converges when its projected gradient is at most ``tol``
-    max(1, |f|), f the negative log-likelihood, when f fell by less than
-    that over its last 10 steps, or when its search fails along the scaled
-    gradient.  A step that predicts a decrease f cannot resolve (the noise
-    floor, at most eps max(1, |f|)) is tested on the derivative, not on
-    f; see ``_minimize``.  A start that spends ``max_evals`` evaluations
-    of the objective and its gradient stops unconverged.
+    ``starts`` starts are drawn from ``seed`` and searched together.  Every
+    fit stops on the rules of ``_minimize``, with tol = ``_TOL`` and
+    max_evals = ``_MAX_EVALS``.
     """
 
     starts: int = 20
     seed: int = 0
-    max_evals: int = 50_000
-    tol: float = 1e-11
 
     def __post_init__(self) -> None:
         if self.starts < 1:
             raise DomainError(f"starts must be >= 1, got {self.starts!r}")
-        if self.max_evals < 1:
-            raise DomainError(f"max_evals must be >= 1, got {self.max_evals!r}")
-        if not (math.isfinite(self.tol) and self.tol > 0.0):
-            raise DomainError(f"tol must be finite and > 0, got {self.tol!r}")
 
 
 @dataclass(frozen=True)
@@ -492,7 +484,7 @@ def fit_mixture(data: CountSample, order: int, config: FitConfig = FitConfig()) 
         [np.zeros(theta0.size), rng.normal(0.0, _LOG_JITTER, (config.starts - 1, theta0.size))]
     )
     fun = partial(_objective, ks=ks, counts=counts)
-    x, f, converged, _ = _minimize(fun, starts, *_box(order), config.tol, config.max_evals)
+    x, f, converged, _ = _minimize(fun, starts, *_box(order), _TOL, _MAX_EVALS)
     best = int(np.argmin(np.where(np.isfinite(f), f, np.inf)))  # the first minimum
     if not np.isfinite(f[best]):
         raise FitError(f"no start produced a usable optimum for order {order}")
@@ -570,10 +562,7 @@ def fit_power_law(data: CountSample) -> BaselineResult:
         beta_hat, converged = _BETA_HI, False
         note = "exponent at upper search bound (all mass at k = 1)"
     else:
-        config = FitConfig()
-        x, _, done, _ = _minimize(
-            objective, np.zeros((1, 1)), *_LOG_BETA_BOUNDS, config.tol, config.max_evals
-        )
+        x, _, done, _ = _minimize(objective, np.zeros((1, 1)), *_LOG_BETA_BOUNDS, _TOL, _MAX_EVALS)
         beta_hat, converged, note = 1.0 + math.exp(x[0, 0]), bool(done[0]), ""
     ll = -nll(beta_hat)[0]
     return BaselineResult(

@@ -99,23 +99,23 @@ def _bin_edges(model: MixtureModel, n: float) -> tuple[list[int], list[float]]:
         # smallest such edge
         step = 1
         hi = lo + 1
-        mass = n * (surv_lo - _mix_ccdf_scalar(model, hi))
-        while mass < _MIN_EXPECTED and hi < _K_CAP:
+        surv_hi = _mix_ccdf_scalar(model, hi)
+        while n * (surv_lo - surv_hi) < _MIN_EXPECTED and hi < _K_CAP:
             step *= 2
             hi = lo + step
-            mass = n * (surv_lo - _mix_ccdf_scalar(model, hi))
-        if mass < _MIN_EXPECTED:
+            surv_hi = _mix_ccdf_scalar(model, hi)
+        if n * (surv_lo - surv_hi) < _MIN_EXPECTED:
             break
         low = lo + step // 2 if step > 1 else lo
-        high = hi
-        while high - low > 1:
-            mid = (low + high) // 2
-            if n * (surv_lo - _mix_ccdf_scalar(model, mid)) >= _MIN_EXPECTED:
-                high = mid
+        while hi - low > 1:
+            mid = (low + hi) // 2
+            surv_mid = _mix_ccdf_scalar(model, mid)
+            if n * (surv_lo - surv_mid) >= _MIN_EXPECTED:
+                hi, surv_hi = mid, surv_mid
             else:
                 low = mid
-        edges.append(high)
-        surv_lo = _mix_ccdf_scalar(model, high)
+        edges.append(hi)
+        surv_lo = surv_hi
         survs.append(surv_lo)
     if len(edges) > 1 and n * surv_lo < _MIN_EXPECTED:
         edges.pop()  # merge a skinny tail into the last closed bin
