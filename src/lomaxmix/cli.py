@@ -269,7 +269,10 @@ def cmd_rank(args) -> int:
         raise DomainError(f"population {args.population} exceeds the {_MAX_SIZE} rows a rank table can hold")
     comp = model.components[idx]
     rm = RankModel(shape=comp.shape, scale=comp.scale, population=args.population)
-    ranks = np.arange(1, args.population + 1)
+    # 1..population by a cumulative sum: np.arange raises ValueError, not
+    # MemoryError, for the lengths within 64 of _MAX_SIZE
+    ranks = np.ones(args.population, dtype=np.int64)
+    np.cumsum(ranks, out=ranks)
     freqs = rank_frequency(rm, ranks)
     lines = [
         f"# schema: {SCHEMA_VERSION} rank table",

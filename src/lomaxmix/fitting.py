@@ -70,8 +70,9 @@ class CountSample:
     """A multiset of positive-integer observations.
 
     ``values`` are the observed counts, one entry per observation.  The
-    sample holds a read-only copy of them, so its distinct-value form is
-    computed once.
+    sample holds them read-only, so its distinct-value form is computed
+    once: an int64 array that is read-only and owns its data is kept as
+    it is, any other input is copied.
     """
 
     values: np.ndarray
@@ -90,8 +91,9 @@ class CountSample:
         # only these dtypes hold values that int64 cannot
         if (vals.dtype.kind == "f" or vals.dtype == np.uint64) and np.any(vals >= 2**63):
             raise DomainError(f"sample values must be <= {2**63 - 1}")
-        vals = vals.astype(np.int64)
-        vals.flags.writeable = False
+        if vals.dtype != np.int64 or vals.flags.writeable or not vals.flags.owndata:
+            vals = vals.astype(np.int64)  # a copy the caller cannot change
+            vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
     @property

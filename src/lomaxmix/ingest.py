@@ -52,9 +52,15 @@ _MIN_TIMESTAMP, _MAX_TIMESTAMP = -(2**63), 2**63 - 1  # timestamps are held as i
 _WRITE_BLOCK = 65_536  # values formatted per write
 _READ_BLOCK = 65_536  # characters of text read per block of whole lines
 _FAST_DIGITS = 18  # a run of at most 18 decimal digits fits int64
-_STRIPPED = np.zeros(256, dtype=bool)  # the ASCII bytes that str.strip() removes
-_STRIPPED[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = True
-_STRIPPED[128:] = True  # and every byte of a non-ASCII character, as it may be U+00A0, U+3000, ...
+_INT32_SIZE = 2**31  # fewer items than this take int32 positions, counts and ids
+# the bytes that may start and end a character that str.strip() removes: the
+# ASCII ones, and in UTF-8 U+0085, U+00A0, U+1680, U+2000-U+200A, U+2028,
+# U+2029, U+202F, U+205F and U+3000
+_STRIPPED_FIRST = np.zeros(256, dtype=bool)
+_STRIPPED_FIRST[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = True
+_STRIPPED_LAST = _STRIPPED_FIRST.copy()
+_STRIPPED_FIRST[[0xC2, 0xE1, 0xE2, 0xE3]] = True
+_STRIPPED_LAST[[*range(0x80, 0x8B), 0x9F, 0xA0, 0xA8, 0xA9, 0xAF]] = True
 
 
 @dataclass(frozen=True)
@@ -123,22 +129,23 @@ def parse_message_log(
     as a row error.  The delimiter may not contain a line break, so only
     the receiver field can carry the line's end, which stripping removes.
     Rows that ``_log_rows`` would take as they stand are converted a block
-    at a time; it parses the others, among them every row with a
-    non-ASCII character at a field's edge.
+    at a time; it parses the others, among them every row whose name may
+    start or end in a character that stripping removes.
     """
     if not delimiter or "\n" in delimiter or "\r" in delimiter:
         raise DomainError(f"delimiter must be non-empty without line breaks, got {delimiter!r}")
     # name -> id, in order of first appearance: a new name gets the next id
     ids: defaultdict[str, int] = defaultdict(lambda: len(ids))
     errors: list[tuple[int, str]] = []
-    none = np.empty(0, dtype=np.int64)
-    columns = [(none, none, none)]  # (timestamps, senders, receivers) per block
+    none = np.empty(0, dtype=np.int32)
+    columns = [(none.astype(np.int64), none, none)]  # (timestamps, sender ids, receiver ids) per block
     lineno = 0  # lines before the current block
     for block in _read_blocks(source):
         block_columns, lines = _log_block(block, lineno, header and not lineno, delimiter, ids, errors)
         columns.append(block_columns)
         lineno += lines
     times, senders, receivers = (np.concatenate(c) for c in zip(*columns))
+    del columns
     rows = times.size + len(errors)
     if rows == 0:
         raise InputFormatError("message log contains no rows")
@@ -149,10 +156,12 @@ def parse_message_log(
     by_name = sorted(range(len(first_seen)), key=first_seen.__getitem__)
     renumber = np.empty(len(first_seen), dtype=np.int64)
     renumber[by_name] = np.arange(len(first_seen))
+    senders = renumber[senders]
+    receivers = renumber[receivers]
     return MessageLog(
         timestamps=times,
-        senders=renumber[senders],
-        receivers=renumber[receivers],
+        senders=senders,
+        receivers=receivers,
         names=tuple(first_seen[i] for i in by_name),
         rows_read=rows,
         row_errors=tuple(errors),
@@ -163,7 +172,8 @@ def _log_block(block, lineno: int, skip: bool, delimiter: str, ids, errors: list
     """Parse the rows of a block after line ``lineno``, skipping its first line if ``skip``.
 
     Returns the (timestamp, sender id, receiver id) columns in line order
-    and the block's line count; row errors go to ``errors``.  With a
+    and the block's line count; row errors go to ``errors``.  The ids are
+    int32 while every name seen by the block's end fits it.  With a
     one-character ASCII delimiter, the clean lines (see
     ``_clean_log_lines``) are decoded run by run, take one ``split`` and are
     converted column by column; every other line goes through ``_log_rows``.
@@ -175,7 +185,8 @@ def _log_block(block, lineno: int, skip: bool, delimiter: str, ids, errors: list
         clean = np.zeros(starts.size, dtype=bool)
     clean[0] &= not skip
     n = int(np.count_nonzero(clean))
-    columns = [np.empty(0, dtype=np.int64)] * 3
+    id_type = _index_type(len(ids) + 2 * clean.size)  # a row brings at most two new names
+    columns = [np.empty(0, dtype=np.int64), *[np.empty(0, dtype=id_type)] * 2]
     if n:
         # runs of clean lines, as [first, past last) line pairs
         bounds = np.flatnonzero(np.diff(clean, prepend=False, append=False)).reshape(-1, 2)
@@ -184,7 +195,7 @@ def _log_block(block, lineno: int, skip: bool, delimiter: str, ids, errors: list
         # one C-level lookup of the 2n >= 2 names, which returns a tuple
         names = itemgetter(*fields[1 : 3 * n : 3], *fields[2 : 3 * n : 3])(ids)
         times = np.array(fields[0 : 3 * n : 3], dtype=np.int64)
-        columns = times, *np.array(names, dtype=np.int64).reshape(2, n)
+        columns = times, *np.array(names, dtype=id_type).reshape(2, n)
     flagged = np.flatnonzero(~clean)[skip:]
     lines = zip((flagged + lineno + 1).tolist(), _texts(data, starts[flagged], ends[flagged]))
     rows = _log_rows(lines, delimiter, ids, errors)
@@ -200,8 +211,9 @@ def _clean_log_lines(data: np.ndarray, starts: np.ndarray, ends: np.ndarray, del
 
     Such a line has exactly two delimiters, a timestamp of 1 to 18 ASCII
     digits (so it fits int64), and a non-empty sender and receiver with
-    neither a byte that ``str.strip`` removes nor a non-ASCII byte at
-    either end.
+    no character that ``str.strip`` removes at either end: their first
+    and last bytes are not among those that may start and end such a
+    character (``_STRIPPED_FIRST``, ``_STRIPPED_LAST``).
     """
     at = np.flatnonzero(data == delimiter)
     # where each line's first delimiter, then the block's end, falls in `at`
@@ -215,9 +227,9 @@ def _clean_log_lines(data: np.ndarray, starts: np.ndarray, ends: np.ndarray, del
     width = first - start
     ok = (width >= 1) & (width <= _FAST_DIGITS) & (nondigits[np.searchsorted(nondigits, start)] >= first)
     ok &= (second - first > 1) & (end - second > 1)
-    # a field's first and last bytes; the receiver's first is past the data when it is empty
-    edges = np.stack([first + 1, second - 1, np.minimum(second + 1, data.size - 1), end - 1])
-    ok &= ~_STRIPPED[data[edges]].any(axis=0)
+    # the names' first and last bytes; the receiver's first is past the data when it is empty
+    ok &= ~_STRIPPED_FIRST[data[np.stack([first + 1, np.minimum(second + 1, data.size - 1)])]].any(axis=0)
+    ok &= ~_STRIPPED_LAST[data[np.stack([second - 1, end - 1])]].any(axis=0)
     clean[lines] = ok
     return clean
 
@@ -266,20 +278,35 @@ def extract_reply_delays(
     (timestamp, sender, receiver) order, whatever the row order: of the
     message they answer under first-response, of the reply under
     exclusive.  An empty result raises, since downstream fitting has
-    nothing to work with.
+    nothing to work with.  Each array is dropped after its last use, and
+    positions are int32 below ``_INT32_SIZE`` messages.
     """
     if rule not in REPLY_RULES:
         raise DomainError(f"rule must be one of {REPLY_RULES}, got {rule!r}")
     usable = log.senders != log.receivers
     self_dropped = int(usable.size - np.count_nonzero(usable))
-    columns = log.timestamps[usable], log.senders[usable], log.receivers[usable]
-    order = _tuple_order(*columns)
-    by_conversation, *conversations = _conversations(*(c[order] for c in columns), len(log.names))
+    order = _tuple_order(log.timestamps, log.senders, log.receivers)
+    order = order[usable[order]]  # the usable messages in tuple order
+    del usable
+    times, senders, receivers = log.timestamps[order], log.senders[order], log.receivers[order]
+    del order
+    forward = senders < receivers
+    # the conversation: the pair of ids a < b as the key a * width + b,
+    # which fits int64 while there are fewer than 3e9 names
+    conversation = np.minimum(senders, receivers)
+    conversation *= len(log.names)
+    conversation += np.maximum(senders, receivers, out=senders)
+    del senders, receivers
+    by_conversation, *conversations = _conversations(times, conversation, forward)
+    del times, conversation, forward
+    at = np.empty_like(by_conversation, dtype=_index_type(by_conversation.size))
+    at[by_conversation] = np.arange(at.size, dtype=at.dtype)  # the sorted position of each message in tuple order
+    del by_conversation
     match = _first_responses if rule == "first-response" else _exclusive_responses
     matched, gaps = match(*conversations)
-    at = np.empty_like(by_conversation)  # the sorted position of each message in tuple order
-    at[by_conversation] = np.arange(at.size)
-    delays = gaps[at[matched[at]]].astype(float)
+    del conversations
+    at = at[matched[at]]
+    delays = gaps[at].astype(float)
     if not delays.size:
         raise DegenerateDataError("no reply delays could be extracted")
     return ReplyDelaySample(
@@ -289,6 +316,11 @@ def extract_reply_delays(
         self_messages_dropped=self_dropped,
         messages_unanswered=int(matched.size - delays.size),
     )
+
+
+def _index_type(size: int):
+    """The integer type of positions and counts up to ``size``: int32 below ``_INT32_SIZE``."""
+    return np.int32 if size < _INT32_SIZE else np.int64
 
 
 def _tuple_order(times, senders, receivers):
@@ -302,6 +334,7 @@ def _tuple_order(times, senders, receivers):
     order = np.argsort(times)
     sorted_times = times[order]
     tie = sorted_times[1:] == sorted_times[:-1]
+    del sorted_times
     shared = np.zeros(times.size, dtype=bool)
     shared[1:] = tie
     shared[:-1] |= tie
@@ -311,27 +344,31 @@ def _tuple_order(times, senders, receivers):
     return order
 
 
-def _conversations(times, senders, receivers, width):
-    """Sort time-ordered messages stably by conversation: the pair of ids a < b.
+def _conversations(times, conversation, forward):
+    """Sort messages stably by their conversation key.
 
-    Returns the permutation and, per sorted message, its conversation (the
-    key a * width + b fits int64 while there are fewer than 3e9 names),
-    time, whether it goes from a to b, and whether it starts a run: the
-    messages of its conversation at its time.
+    Returns the permutation and, per sorted message, its time, whether it
+    goes from a to b, whether it starts a run (the messages of its
+    conversation at its time) and whether it starts a conversation.
     """
-    conversation = np.minimum(senders, receivers) * width + np.maximum(senders, receivers)
     # stable radix passes over the key's 16-bit digits, which numpy sorts in linear time
-    order = np.argsort(conversation.astype(np.uint16), kind="stable")
+    digit = conversation.astype(np.uint16)
+    order = np.argsort(digit, kind="stable")
     for shift in range(16, int(conversation.max(initial=0)).bit_length(), 16):
-        order = order[np.argsort((conversation[order] >> shift).astype(np.uint16), kind="stable")]
-    conversation, times = conversation[order], times[order]
-    new_run = np.ones(times.size, dtype=bool)
-    new_run[1:] = (times[1:] != times[:-1]) | (conversation[1:] != conversation[:-1])
-    forward = (senders < receivers)[order]
-    return order, conversation, times, forward, new_run
+        np.take((conversation >> shift).astype(np.uint16), order, out=digit)
+        order = order[np.argsort(digit, kind="stable")]
+    del digit
+    key = conversation[order]
+    new_conversation = np.ones(key.size, dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=new_conversation[1:])
+    del key
+    times = times[order]
+    new_run = new_conversation.copy()
+    new_run[1:] |= times[1:] != times[:-1]
+    return order, times, forward[order], new_run, new_conversation
 
 
-def _first_responses(conversation, times, forward, new_run):
+def _first_responses(times, forward, new_run, new_conversation):
     """Whether each message has a later reply, and the gap to the first one.
 
     A message's reply is the first message in the other direction of its
@@ -339,24 +376,27 @@ def _first_responses(conversation, times, forward, new_run):
     than its message, so the difference of the int64 times is exact even
     where it exceeds the int64 range.
     """
-    n = times.size
-    # first position past each message's run; n past the last run
-    past_run = np.append(np.flatnonzero(new_run)[1:], n)[np.cumsum(new_run) - 1]
-    reply = np.where(forward, _next_at(~forward)[past_run], _next_at(forward)[past_run])
-    found = reply < n
+    index_type = _index_type(times.size)
+    past_run = _next_at(new_run, index_type)[1:]  # the first position past each message's run
+    reply = np.where(forward, _next_at(~forward, index_type)[past_run], _next_at(forward, index_type)[past_run])
+    del past_run
+    found = reply < _next_at(new_conversation, index_type)[1:]  # before the next conversation
     reply[~found] = 0
-    found &= conversation[reply] == conversation
-    return found, times[reply].view(np.uint64) - times.view(np.uint64)
+    gaps = times[reply].view(np.uint64)
+    gaps -= times.view(np.uint64)
+    return found, gaps
 
 
-def _next_at(mask):
+def _next_at(mask, dtype):
     """For each position p in 0..len(mask), the first q >= p with mask[q], else len(mask)."""
-    n = mask.size
-    nearest = np.where(mask, np.arange(n), n)
-    return np.minimum.accumulate(np.append(nearest, n)[::-1])[::-1]
+    nearest = np.arange(mask.size + 1, dtype=dtype)
+    nearest[:-1][~mask] = mask.size
+    backward = nearest[::-1]
+    np.minimum.accumulate(backward, out=backward)
+    return nearest
 
 
-def _exclusive_responses(conversation, times, forward, new_run):
+def _exclusive_responses(times, forward, new_run, new_conversation):
     """Whether each message answers a pending one FIFO, and the gap to it.
 
     A message pops the oldest pending message of the other direction of
@@ -368,21 +408,43 @@ def _exclusive_responses(conversation, times, forward, new_run):
     P_i > P_(i-1), and answers the other direction's P_i-th message.
     """
     n = times.size
-    new_conversation = np.diff(conversation, prepend=-1) != 0
-    segment = np.cumsum(new_conversation) - 1
-    first = np.flatnonzero(new_conversation)[segment]  # the conversation's first position
-    run_start = np.flatnonzero(new_run)[np.cumsum(new_run) - 1]
-    shift = segment * (2 * n + 1)  # puts each conversation's e_l - l below the one before
-    ahead = np.append(0, np.cumsum(forward))  # forward messages before each position
+    index_type = _index_type(n)
+    first = np.flatnonzero(new_conversation).astype(index_type)  # each conversation's first position
+    segment = np.cumsum(new_conversation, dtype=index_type)  # each message's conversation
+    segment -= 1
+    run_start = np.arange(n, dtype=index_type)  # the first position of each message's run
+    run_start[~new_run] = 0
+    np.maximum.accumulate(run_start, out=run_start)
+    ahead = np.zeros(n + 1, dtype=index_type)  # forward messages before each position
+    np.cumsum(forward, dtype=index_type, out=ahead[1:])
     matched, gaps = np.zeros(n, dtype=bool), np.zeros(n, dtype=np.uint64)
     for own, count in ((forward, lambda at: at - ahead[at]), (~forward, ahead.__getitem__)):
-        mine, theirs = np.flatnonzero(own), np.flatnonzero(~own)
-        their_first = count(first[mine])  # count: their messages before given positions
-        earlier = count(run_start[mine]) - their_first
-        index = np.arange(1, mine.size + 1) - (first[mine] - their_first)  # 1-based
-        pops = index + np.minimum(0, np.minimum.accumulate(earlier - index - shift[mine]) + shift[mine])
-        pop = pops > np.where(index == 1, 0, np.roll(pops, 1))
-        reply, answered = mine[pop], theirs[their_first[pop] + pops[pop] - 1]
+        mine = np.flatnonzero(own).astype(index_type)
+        start = first[segment[mine]]
+        their_first = count(start)  # count: their messages before given positions
+        index = np.arange(1, mine.size + 1, dtype=index_type)  # 1-based within the conversation
+        index -= start
+        index += their_first
+        del start
+        earlier = count(run_start[mine])
+        earlier -= their_first
+        earlier -= index
+        shift = np.multiply(segment[mine], 2 * n + 1, dtype=np.int64)  # puts each conversation's e_l - l
+        lowest = earlier - shift  # below the one before
+        del earlier
+        np.minimum.accumulate(lowest, out=lowest)
+        lowest += shift
+        del shift
+        opens = index == 1  # the first message of its direction in the conversation
+        pops = index  # i + min(0, lowest), in place of i
+        del index
+        pops += np.minimum(lowest, 0, out=lowest)
+        del lowest
+        pop = np.empty(mine.size, dtype=bool)  # P_i > P_(i-1), with P_0 = 0
+        np.greater(pops[1:], pops[:-1], out=pop[1:])
+        pop[opens] = pops[opens] > 0
+        reply, answered = mine[pop], np.flatnonzero(~own)[their_first[pop] + pops[pop] - 1]
+        del mine, their_first, pops, pop, opens
         matched[reply] = True
         gaps[reply] = times[reply].view(np.uint64) - times[answered].view(np.uint64)
     return matched, gaps
@@ -394,13 +456,16 @@ def discretize(sample: ReplyDelaySample) -> CountSample:
     A count that int64 cannot hold raises: dt is too small for the delays.
     """
     with np.errstate(over="ignore"):  # a quotient past the float range is inf, refused below
-        k = np.ceil(sample.delays / sample.discretization)
+        k = sample.delays / sample.discretization
+    np.ceil(k, out=k)
     if np.any(k >= 2.0**63):  # the smallest float past int64
         raise DomainError(
             f"dt = {sample.discretization!r} s gives a count past {_MAX_COUNT} for a delay of "
             f"{float(sample.delays.max())!r} s"
         )
-    return CountSample(np.maximum(1, k).astype(np.int64))
+    counts = np.maximum(k, 1, out=k).astype(np.int64)
+    counts.flags.writeable = False  # hand the counts over to CountSample uncopied
+    return CountSample(counts)
 
 
 def _read_blocks(source):
@@ -475,7 +540,8 @@ def load_counts(source) -> CountLoadResult:
     if rows == 0:
         raise InputFormatError("count file contains no rows")
     values = np.concatenate(columns)
-    del columns  # free the blocks before CountSample copies the values
+    del columns
+    values.flags.writeable = False  # hand the values over to CountSample uncopied
     if not values.size:
         raise DegenerateDataError(f"no usable counts out of {rows} rows")
     return CountLoadResult(

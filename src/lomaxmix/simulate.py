@@ -179,4 +179,5 @@ def sample_mixture(model: MixtureModel, n: int, seed: int = 0) -> CountSample:
         lam = _gamma_variates(rng, comp.shape, m)
         lam /= comp.scale
         out[mask] = _counts_from_rates(rng, lam)
+    out.flags.writeable = False  # hand the draws over to CountSample uncopied
     return CountSample(out)

@@ -685,12 +685,14 @@ class TestArbitraryReports:
     # a size within that bound whose 4 EiB array exceeds any address space,
     # so its allocation fails at once: it once ended in a traceback
     _UNALLOCATABLE = [str(2**59)]
+    # populations at that bound, where np.arange once raised a traceback instead
+    _UNALLOCATABLE_POPULATIONS = [*_UNALLOCATABLE, str(2**60 - 64), str(2**60 - 1)]
 
     @settings(max_examples=80, deadline=None, database=None)
     @given(
         report=_REPORT_TEXT,
         population=st.one_of(
-            st.integers(-2, 300).map(str), st.sampled_from(["x", *_HUGE_POPULATIONS, *_UNALLOCATABLE])
+            st.integers(-2, 300).map(str), st.sampled_from(["x", *_HUGE_POPULATIONS, *_UNALLOCATABLE_POPULATIONS])
         ),
         component=st.one_of(st.integers(-2, 5).map(str), st.just("0.5")),
     )
@@ -722,7 +724,7 @@ class TestArbitraryReports:
         assert f"n = {n} exceeds" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("population", _UNALLOCATABLE)
+    @pytest.mark.parametrize("population", _UNALLOCATABLE_POPULATIONS)
     def test_rank_refuses_unallocatable_populations(self, population, tmp_path):
         rep = tmp_path / "one.json"
         rep.write_text(_ONE_COMPONENT_REPORT, encoding="utf-8")

@@ -49,6 +49,15 @@ class TestCountSample:
         values[0] = 2  # the sample holds its own copy
         assert sample.distinct()[0].tolist() == [1, 4, 9]
 
+    def test_holds_handed_over_int64_values_without_a_copy(self):
+        values = np.array([4, 9, 1, 4])
+        values.flags.writeable = False
+        assert np.shares_memory(CountSample(values).values, values)
+        # a view could change through its base, so it is copied
+        view = np.array([4, 9, 1, 4])[::2]
+        view.flags.writeable = False
+        assert not np.shares_memory(CountSample(view).values, view)
+
     def test_rejects_bad_values(self):
         with pytest.raises(DomainError):
             CountSample(np.array([0, 1]))

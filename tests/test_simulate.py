@@ -18,6 +18,7 @@ from lomaxmix.simulate import _CHUNK, _counts_from_rates, _gamma_variates, _rng
 
 import mechanism
 import sampler_reference
+from memory import peak_above
 
 
 def single(b, v):
@@ -92,6 +93,13 @@ class TestMixtureSampler:
         c = sample_mixture(model, 100, seed=2)
         assert np.array_equal(a.values, b.values)
         assert not np.array_equal(a.values, c.values)
+
+    def test_peak_memory_of_a_million_draws(self):
+        # README: 1e6 draws from 0.7:5:0.9,0.3:500:1.3 peak at 31.7 MiB of numpy memory
+        model = MixtureModel.from_parameters([0.7, 0.3], [5.0, 500.0], [0.9, 1.3])
+        sample, peak = peak_above(sample_mixture, model, 1_000_000, 0)
+        assert sample.size == 1_000_000
+        assert peak < 35 * 2**20
 
     def test_golden_stream(self):
         model = MixtureModel.from_parameters([0.7, 0.3], [2.0, 20.0], [1.2, 3.0])
