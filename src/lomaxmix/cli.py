@@ -9,6 +9,7 @@ degenerate result, 2 input, output or validation error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import os
@@ -71,6 +72,7 @@ EXIT_INPUT = 2
 # MemoryError: a size the machine cannot allocate
 _INPUT_ERRORS = (InputFormatError, ValidationError, DomainError, OSError, MemoryError)
 _EMPTY_ERRORS = (DegenerateDataError, FitError, InsufficientResolutionError)
+_TSV_ROWS = 4096  # table rows formatted per write
 
 
 def _err(msg: str) -> None:
@@ -251,11 +253,7 @@ def cmd_ccdf(args) -> int:
     header = ["k", "empirical", "model"] + [
         f"component_{i + 1}" for i in range(model.order)
     ]
-    lines = ["\t".join(header)]
-    columns = (fracs.tolist(), model_col.tolist(), *comp_cols.tolist())
-    for k, *values in zip(ks.tolist(), *columns):
-        lines.append("\t".join([str(int(k)), *map(repr, values)]))
-    _write_tsv(args.out, lines)
+    _write_tsv(args.out, ["\t".join(header)], ks, fracs, model_col, *comp_cols)
     return EXIT_OK
 
 
@@ -273,27 +271,30 @@ def cmd_rank(args) -> int:
     # MemoryError, for the lengths within 64 of _MAX_SIZE
     ranks = np.ones(args.population, dtype=np.int64)
     np.cumsum(ranks, out=ranks)
-    freqs = rank_frequency(rm, ranks)
-    lines = [
+    head = [
         f"# schema: {SCHEMA_VERSION} rank table",
         f"# component_index: {idx}",
         f"# c: {comp.weight!r}  b: {comp.scale!r}  v: {comp.shape!r}",
         "r\tf_r",
     ]
-    for r, f in zip(ranks, freqs):
-        lines.append(f"{int(r)}\t{float(f)!r}")
-    _write_tsv(args.out, lines)
+    _write_tsv(args.out, head, ranks, rank_frequency(rm, ranks))
     return EXIT_OK
 
 
-def _write_tsv(out, lines) -> None:
-    text = "\n".join(lines) + "\n"
+def _write_tsv(out, head: list[str], ints: np.ndarray, *floats: np.ndarray) -> None:
+    """Write the ``head`` lines, then a row per entry of ``ints``: the int and the
+    ``repr`` of each float column's entry, tab-separated.
+
+    Rows are formatted ``_TSV_ROWS`` at a time, so the table's text is never held whole.
+    """
+    with open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout) as fh:
+        fh.write("".join(line + "\n" for line in head))
+        for lo in range(0, ints.size, _TSV_ROWS):
+            part = slice(lo, lo + _TSV_ROWS)
+            rows = zip(map(str, ints[part].tolist()), *(map(repr, col[part].tolist()) for col in floats))
+            fh.write("\n".join(map("\t".join, rows)) + "\n")
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
         print(f"table -> {out}")
-    else:
-        sys.stdout.write(text)
 
 
 def _parse_model_spec(spec: str) -> MixtureModel:

@@ -63,6 +63,10 @@ _WOLFE_SIGMA, _WOLFE_DELTA = 0.9, 0.1
 _WINDOW = 10  # steps over which a decrease below tol ends a start
 _TOL = 1e-11  # the relative stop tolerance of every fit; see _minimize
 _MAX_EVALS = 50_000  # evaluations of the objective and its gradient per start
+# CountSample tallies the values below _TALLY (a tally of at most 512 KiB),
+# _SLAB values at a time, and sorts only the rest
+_TALLY = 2**16
+_SLAB = 2**14
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,7 +76,10 @@ class CountSample:
     ``values`` are the observed counts, one entry per observation.  The
     sample holds them read-only, so its distinct-value form is computed
     once: an int64 array that is read-only and owns its data is kept as
-    it is, any other input is copied.
+    it is, any other input is copied.  The distinct values are counted,
+    not sorted: values below ``_TALLY`` go into a tally as long as the
+    largest of them, and only a copy of the larger ones is sorted, so a
+    heavy-tailed sample needs no sorted copy of itself.
     """
 
     values: np.ndarray
@@ -107,8 +114,25 @@ class CountSample:
 
     @cached_property
     def _distinct(self) -> tuple[np.ndarray, np.ndarray]:
-        vals, counts = np.unique(self.values, return_counts=True)
-        counts = counts.astype(np.int64)
+        values = self.values
+        rest = values[values >= _TALLY]  # the values not tallied
+        tally = np.zeros(_TALLY if rest.size else int(values.max()) + 1, dtype=np.int64)
+        for lo in range(0, values.size, _SLAB):
+            slab = values[lo : lo + _SLAB]
+            np.add.at(tally, slab[slab < _TALLY], 1)
+        small = np.flatnonzero(tally)
+        rest.sort()
+        edges = np.empty(rest.size + 1, dtype=bool)  # where each run of equal values starts, and the end
+        edges[0] = edges[-1] = True
+        np.not_equal(rest[1:], rest[:-1], out=edges[1:-1])
+        edges = np.flatnonzero(edges)
+        vals = np.empty(small.size + edges.size - 1, dtype=np.int64)
+        vals[: small.size] = small
+        np.take(rest, edges[:-1], out=vals[small.size :], mode="clip")  # "raise" would buffer out
+        del rest
+        counts = np.empty_like(vals)
+        counts[: small.size] = tally[small]
+        np.subtract(edges[1:], edges[:-1], out=counts[small.size :])
         vals.flags.writeable = False
         counts.flags.writeable = False
         return vals, counts

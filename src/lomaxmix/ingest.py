@@ -534,12 +534,14 @@ def load_counts(source) -> CountLoadResult:
         column = _block_counts(data, starts, ends)
         if column is None:
             column = _count_rows(_texts(data, starts, ends), lineno, errors)
+        if column.size and column.max() < 2**32:
+            column = column.astype(np.uint32)  # half the bytes until the blocks are joined
         columns.append(column)
         lineno += starts.size
     rows = sum(column.size for column in columns) + len(errors)  # every row is a count or an error
     if rows == 0:
         raise InputFormatError("count file contains no rows")
-    values = np.concatenate(columns)
+    values = np.concatenate(columns, dtype=np.int64)
     del columns
     values.flags.writeable = False  # hand the values over to CountSample uncopied
     if not values.size:

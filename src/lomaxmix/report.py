@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import datetime as _dt
 import hashlib
+import itertools
 import json
 
 from .distributions import MixtureModel
@@ -23,12 +24,12 @@ __all__ = [
     "model_to_dict",
     "model_from_dict",
     "build_report",
-    "serialize_report",
     "write_report",
     "load_report",
 ]
 
 SCHEMA_VERSION = "lomaxmix/1"
+_JSON_PIECES = 4096  # encoder pieces joined per write
 
 
 def sample_digest(sample: CountSample) -> str:
@@ -115,13 +116,18 @@ def build_report(
     return report
 
 
-def serialize_report(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
-
-
 def write_report(path, report: dict) -> None:
+    """Write ``report`` as sorted-key JSON with a final line break.
+
+    The encoder's pieces are joined and written ``_JSON_PIECES`` at a
+    time, so the text is never held whole; ``json.dump``, which writes
+    each piece on its own, was slower than making the text whole.
+    """
+    pieces = json.JSONEncoder(sort_keys=True, indent=2, allow_nan=False).iterencode(report)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_report(report))
+        while block := "".join(itertools.islice(pieces, _JSON_PIECES)):
+            fh.write(block)
+        fh.write("\n")
 
 
 def load_report(path) -> dict:

@@ -13,18 +13,23 @@ Mixture draws use the exact conditional inverse transform
 whose marginal law is exactly the mixture PMF, so samples from here are
 a trustworthy independent check of the closed forms.
 
-Every array of draws is made whole, by the same generator calls in the
-same order as a whole-array sampler makes them, so the stream does not
-depend on how the arithmetic is split.  The arithmetic on the draws runs
-in place, ``_CHUNK`` values at a time: written on whole arrays, each step
-makes a new array the size of the draws, and those temporaries, not the
-draws, set the peak memory of a large call.  The squeeze test's x**4 is
-(x**2)**2, reusing the x**2 of the exact test: numpy's float power takes
-a scalar path for a negative base, about 30 times slower.  The two can
-differ in the last bit, but the squeeze only short-cuts the exact log
-test, which accepts everything the squeeze does, so a draw's fate could
-change only where the two bounds meet within an ulp; the stream tests
-compare with the whole-array form.
+Every chunk of ``_CHUNK`` values gets the uniforms a whole-array sampler
+gives it, so the stream does not depend on how the work is split, but no
+array of uniforms is made whole.  The component pick, the boost and the
+geometric counts draw theirs a chunk at a time.  A gamma round reads its
+radius, angle and acceptance uniforms at three places in the stream at
+once; Philox is counter-based, so ``_ahead`` reaches any offset without
+drawing the values before it.  The arithmetic runs in place on the
+chunk, and the geometric counts overwrite the rates they are drawn from:
+written on whole arrays, each step makes a new array the size of the
+draws, and those temporaries set the peak memory of a large call.
+
+The squeeze test's x**4 is (x**2)**2, reusing the x**2 of the exact
+test: numpy's float power takes a scalar path for a negative base, about
+30 times slower.  The two can differ in the last bit, but the squeeze
+only short-cuts the exact log test, which accepts everything the squeeze
+does, so a draw's fate could change only where the two bounds meet
+within an ulp; the stream tests compare with the whole-array form.
 """
 
 from __future__ import annotations
@@ -41,8 +46,11 @@ __all__ = ["sample_mixture"]
 
 # the largest draw, the largest float below 2**63: float(2**63 - 1) rounds up to 2**63, past int64
 _MAX_DRAW = np.nextafter(2.0**63, 0.0)
-# candidates per pass of the elementwise arithmetic: 512 KiB of float64, so a pass's operands stay in cache
-_CHUNK = 65_536
+# values per pass of the elementwise arithmetic: a gamma round holds about a
+# dozen temporaries of this length, 128 KiB each as float64
+_CHUNK = 16_384
+# doubles per Philox counter value: the bit generator makes its outputs four at a time
+_PHILOX_BLOCK = 4
 # the most int64 values numpy holds in one array: its byte size must fit intp
 _MAX_SIZE = np.iinfo(np.intp).max // np.dtype(np.int64).itemsize
 
@@ -60,28 +68,35 @@ def _open_uniform(rng: np.random.Generator, size: int) -> np.ndarray:
     return np.subtract(1.0, u, out=u)
 
 
-def _standard_normals(rng: np.random.Generator, size: int) -> np.ndarray:
-    half = (size + 1) // 2
-    r = _open_uniform(rng, half)
-    ang = rng.random(half)
-    np.log(r, out=r)
-    r *= -2.0
-    np.sqrt(r, out=r)
-    ang *= 2.0 * math.pi
-    out = np.empty(2 * half)
-    cos_rows, sin_rows = out.reshape(2, half)
-    for lo in range(0, half, _CHUNK):
-        part = slice(lo, lo + _CHUNK)
-        cos, sin = cos_rows[part], sin_rows[part]
-        np.cos(ang[part], out=cos)
-        cos *= r[part]
-        np.sin(ang[part], out=sin)
-        sin *= r[part]
-    return out[:size]
+def _ahead(rng: np.random.Generator, delta: int) -> np.random.Generator:
+    """A copy of the Philox generator ``rng`` that stands ``delta`` doubles further along its stream.
+
+    ``advance`` moves Philox's counter by whole blocks of four outputs and
+    empties its buffer, so the doubles still buffered are drawn first and
+    the last ``delta % 4`` after the jump.
+    """
+    state = rng.bit_generator.state
+    out = np.random.Generator(np.random.Philox(key=0))
+    out.bit_generator.state = state
+    buffered = min(delta, _PHILOX_BLOCK - state["buffer_pos"])
+    out.random(buffered)
+    delta -= buffered
+    if delta >= _PHILOX_BLOCK:
+        out.bit_generator.advance(delta // _PHILOX_BLOCK)
+    out.random(delta % _PHILOX_BLOCK)
+    return out
 
 
 def _gamma_at_least_one(rng: np.random.Generator, shape: float, size: int) -> np.ndarray:
-    """Marsaglia-Tsang rejection sampling, valid for shape >= 1."""
+    """Marsaglia-Tsang rejection sampling, valid for shape >= 1.
+
+    A round of m candidates reads the stream as the whole-array sampler
+    does: m Box-Muller normals from ``half`` = ceil(m / 2) radius and
+    ``half`` angle uniforms, the cosines first and then the sines, and
+    then m acceptance uniforms.  Each chunk of candidates draws its
+    uniforms at their offsets into the round, and ``rng`` ends where the
+    whole round leaves it.
+    """
     d = shape - 1.0 / 3.0
     c = 1.0 / math.sqrt(9.0 * d)
     out = np.empty(size)
@@ -89,35 +104,46 @@ def _gamma_at_least_one(rng: np.random.Generator, shape: float, size: int) -> np
     while filled < size:
         need = size - filled
         m = need + (need >> 3) + 16
-        x = _standard_normals(rng, m)
-        u = rng.random(m)
-        for lo in range(0, m, _CHUNK):
-            if filled == size:
-                break
-            xs, us = x[lo : lo + _CHUNK], u[lo : lo + _CHUNK]
-            v = c * xs
-            v += 1.0
-            valid = v > 0.0
-            v[~valid] = 1.0
-            v **= 3
-            x2 = np.square(xs)
-            squeeze = np.square(x2)  # x**4, see the module docstring
-            squeeze *= 0.0331
-            np.subtract(1.0, squeeze, out=squeeze)
-            accept = us < squeeze
-            with np.errstate(divide="ignore"):
-                rhs = np.log(v)
-                lhs = np.log(np.maximum(us, 1e-320))
-            rhs += 1.0 - v
-            rhs *= d
-            x2 *= 0.5
-            rhs += x2
-            accept |= lhs < rhs
-            accept &= valid
-            got = v[accept]
-            take = min(got.size, size - filled)
-            np.multiply(got[:take], d, out=out[filled : filled + take])
-            filled += take
+        half = (m + 1) // 2
+        at_u = _ahead(rng, 2 * half)
+        for trig, count in ((np.cos, half), (np.sin, m - half)):
+            at_r, at_angle = _ahead(rng, 0), _ahead(rng, half)
+            for lo in range(0, count, _CHUNK):
+                if filled == size:
+                    break
+                k = min(_CHUNK, count - lo)
+                xs = _open_uniform(at_r, k)
+                np.log(xs, out=xs)
+                xs *= -2.0
+                np.sqrt(xs, out=xs)
+                angle = at_angle.random(k)
+                angle *= 2.0 * math.pi
+                xs *= trig(angle, out=angle)
+                us = at_u.random(k)
+                v = c * xs
+                v += 1.0
+                valid = v > 0.0
+                v[~valid] = 1.0
+                v **= 3
+                x2 = np.square(xs)
+                squeeze = np.square(x2)  # x**4, see the module docstring
+                squeeze *= 0.0331
+                np.subtract(1.0, squeeze, out=squeeze)
+                accept = us < squeeze
+                with np.errstate(divide="ignore"):
+                    rhs = np.log(v)
+                    lhs = np.log(np.maximum(us, 1e-320))
+                rhs += 1.0 - v
+                rhs *= d
+                x2 *= 0.5
+                rhs += x2
+                accept |= lhs < rhs
+                accept &= valid
+                got = v[accept]
+                take = min(got.size, size - filled)
+                np.multiply(got[:take], d, out=out[filled : filled + take])
+                filled += take
+        rng.bit_generator.state = _ahead(rng, 2 * half + m).bit_generator.state
     return out
 
 
@@ -126,20 +152,24 @@ def _gamma_variates(rng: np.random.Generator, shape: float, size: int) -> np.nda
         return _gamma_at_least_one(rng, shape, size)
     # boost: Gamma(shape) = Gamma(shape + 1) * U^(1/shape)
     g = _gamma_at_least_one(rng, shape + 1.0, size)
-    u = _open_uniform(rng, size)
     for lo in range(0, size, _CHUNK):
-        boost = u[lo : lo + _CHUNK]
+        boost = _open_uniform(rng, min(_CHUNK, size - lo))
         boost **= 1.0 / shape
         g[lo : lo + _CHUNK] *= boost
     return g
 
 
-def _counts_from_rates(rng: np.random.Generator, lam: np.ndarray) -> np.ndarray:
-    u = _open_uniform(rng, lam.size)
-    counts = u.view(np.int64)  # each chunk's counts overwrite its uniforms
+def _counts_from_rates(rng: np.random.Generator, lam: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The geometric count of each rate, written to the int64 array ``out`` (new by default).
+
+    ``out`` may be ``lam.view(np.int64)``: each chunk's counts overwrite
+    its rates once they are read.
+    """
+    counts = np.empty(lam.size, dtype=np.int64) if out is None else out
     with np.errstate(over="ignore", divide="ignore"):
-        for lo in range(0, u.size, _CHUNK):
-            k = np.log(u[lo : lo + _CHUNK])
+        for lo in range(0, lam.size, _CHUNK):
+            k = _open_uniform(rng, min(_CHUNK, lam.size - lo))
+            np.log(k, out=k)
             np.negative(k, out=k)
             k /= lam[lo : lo + _CHUNK]
             np.floor(k, out=k)
@@ -164,12 +194,14 @@ def sample_mixture(model: MixtureModel, n: int, seed: int = 0) -> CountSample:
     if n > _MAX_SIZE:
         raise DomainError(f"n = {n} exceeds the {_MAX_SIZE} draws one array can hold")
     rng = _rng(seed)
-    pick = rng.random(n)
     # the component index: how many of the first M - 1 cumulative weights are <= the uniform
     idx = np.zeros(n, dtype=np.min_scalar_type(model.order - 1))
-    for edge in np.cumsum(model._c)[:-1].tolist():
-        idx += edge <= pick
-    del pick
+    edges = np.cumsum(model._c)[:-1].tolist()
+    for lo in range(0, n, _CHUNK):
+        pick = rng.random(min(_CHUNK, n - lo))
+        part = idx[lo : lo + _CHUNK]
+        for edge in edges:
+            part += edge <= pick
     out = np.empty(n, dtype=np.int64)
     for i, comp in enumerate(model.components):
         mask = idx == i
@@ -178,6 +210,7 @@ def sample_mixture(model: MixtureModel, n: int, seed: int = 0) -> CountSample:
             continue
         lam = _gamma_variates(rng, comp.shape, m)
         lam /= comp.scale
-        out[mask] = _counts_from_rates(rng, lam)
+        out[mask] = _counts_from_rates(rng, lam, out=lam.view(np.int64))
+        del lam, mask  # before the next component's rates and mask are made
     out.flags.writeable = False  # hand the draws over to CountSample uncopied
     return CountSample(out)

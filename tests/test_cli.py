@@ -22,12 +22,13 @@ from lomaxmix import (
     save_counts,
 )
 from lomaxmix import fitting
-from lomaxmix.cli import main
+from lomaxmix.cli import _TSV_ROWS, main
 from lomaxmix.fitting import ScanResult, n_params_for_order
 from lomaxmix.ingest import _READ_BLOCK
-from lomaxmix.distributions import SCALE_BOUNDS, SHAPE_BOUNDS
+from lomaxmix.distributions import SCALE_BOUNDS, SHAPE_BOUNDS, RankModel, rank_frequency
 from lomaxmix.report import SCHEMA_VERSION, build_report, load_report, model_from_dict, write_report
 from conftest import strip_timestamps
+from memory import peak_above
 from test_ingest import _LINE, _ROW, _TEXT
 
 
@@ -311,12 +312,49 @@ class TestRank:
         header = [l for l in out.read_text().splitlines() if l.startswith("#")]
         assert any("component_index: 0" in h for h in header)
 
+    def test_table_bytes_across_row_blocks(self, tmp_path):
+        model = MixtureModel.from_parameters([1.0], [2.0], [1.3])
+        rep = tmp_path / "r.json"
+        write_exact_report(model, sample_mixture(model, 1000, seed=10), rep)
+        out = tmp_path / "r.tsv"
+        population = 2 * _TSV_ROWS + 1
+        assert main(["rank", str(rep), "-l", str(population), "--out", str(out)]) == 0
+        ranks = np.arange(1, population + 1)
+        freqs = rank_frequency(RankModel(shape=1.3, scale=2.0, population=population), ranks)
+        rows = "".join(f"{r}\t{f!r}\n" for r, f in zip(ranks.tolist(), freqs.tolist()))
+        assert out.read_text().split("r\tf_r\n", 1)[1] == rows
+
+    def test_peak_per_rank(self, tmp_path):
+        # 32 bytes per rank: the ranks, their frequencies and rank_frequency's
+        # temporaries; holding the table's text whole took 159
+        model = MixtureModel.from_parameters([1.0], [2.0], [1.3])
+        rep = tmp_path / "r.json"
+        write_exact_report(model, sample_mixture(model, 1000, seed=10), rep)
+        out = tmp_path / "r.tsv"
+        with redirect_stdout(io.StringIO()):
+            code, peak = peak_above(main, ["rank", str(rep), "-l", "200000", "--out", str(out)])
+        assert code == 0
+        assert peak / 200_000 < 60
+
     def test_bad_population(self, tmp_path):
         model = unit_model()
         data = sample_mixture(model, 1000, seed=11)
         rep = tmp_path / "rr.json"
         write_exact_report(model, data, rep)
         assert main(["rank", str(rep), "-l", "0"]) == 2
+
+
+class TestWriteReport:
+    def test_streams_sorted_key_json(self, tmp_path):
+        # about 2 MiB of JSON: writing it peaks at 210 KiB (17 MiB while the text was made whole)
+        report = {
+            "schema_version": SCHEMA_VERSION,
+            "gof": {"bins": [{"lo": i, "hi": i + 1, "observed": i, "expected": i / 7} for i in range(20_000)]},
+        }
+        path = tmp_path / "r.json"
+        _, peak = peak_above(write_report, path, report)
+        assert path.read_text(encoding="utf-8") == json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        assert peak < 2**20
 
 
 class TestSimulate:

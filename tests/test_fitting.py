@@ -6,6 +6,8 @@ import warnings
 import numpy as np
 import pytest
 import scipy.special as sps
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from lomaxmix import (
@@ -26,7 +28,10 @@ from lomaxmix import (
     scan_orders,
 )
 from lomaxmix import fitting
+from lomaxmix.fitting import _SLAB, _TALLY
 from lomaxmix.special import riemann_zeta
+
+from memory import peak_above
 
 
 def single(b, v):
@@ -48,6 +53,37 @@ class TestCountSample:
                 array[0] = 7
         values[0] = 2  # the sample holds its own copy
         assert sample.distinct()[0].tolist() == [1, 4, 9]
+
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(
+        pool=st.lists(
+            st.one_of(
+                st.integers(1, 50),
+                st.integers(_TALLY - 3, _TALLY + 3),
+                st.integers(1, 2**63 - 1),
+                st.just(2**63 - 1),
+            ),
+            min_size=1,
+            max_size=30,
+        ),
+        size=st.sampled_from([1, 2, _SLAB - 1, _SLAB, _SLAB + 1, 3 * _SLAB + 2]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_distinct_equals_unique(self, pool, size, seed):
+        # values below, across and above the tally's end, drawn from a small pool so they repeat
+        values = np.array(pool, dtype=np.int64)[np.random.default_rng(seed).integers(0, len(pool), size)]
+        ks, counts = CountSample(values).distinct()
+        want_ks, want_counts = np.unique(values, return_counts=True)
+        assert ks.dtype == counts.dtype == np.int64
+        assert np.array_equal(ks, want_ks) and np.array_equal(counts, want_counts)
+
+    def test_distinct_peak_per_value(self):
+        # 1e6 draws from 0.7:5:0.9,0.3:500:1.3, 99.9% of them below _TALLY:
+        # 1.0 bytes per value (np.unique sorted a copy, 10 bytes per value)
+        sample = sample_mixture(MixtureModel.from_parameters([0.7, 0.3], [5.0, 500.0], [0.9, 1.3]), 10**6, 0)
+        (ks, counts), peak = peak_above(sample.distinct)
+        assert counts.sum() == sample.size
+        assert peak / sample.size < 2
 
     def test_holds_handed_over_int64_values_without_a_copy(self):
         values = np.array([4, 9, 1, 4])

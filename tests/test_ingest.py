@@ -17,11 +17,13 @@ from lomaxmix import (
     DomainError,
     InputFormatError,
     LomaxMixError,
+    MixtureModel,
     ReplyDelaySample,
     discretize,
     extract_reply_delays,
     load_counts,
     parse_message_log,
+    sample_mixture,
     save_counts,
 )
 from lomaxmix import ingest
@@ -250,12 +252,21 @@ class TestMemory:
     """Peak memory per message of parsing and extraction (tracemalloc, outputs
     included), on a 1e5-row generated log.  Measured: parsing 34 bytes per
     row, of which the log's columns take 24; extraction 43 bytes per usable
-    message under first-response and 61 under exclusive."""
+    message under first-response and 61 under exclusive.  Also the peak per
+    value of loading 1e6 counts."""
 
     def test_parse_message_log_per_row(self, generated_log):
         log, peak = peak_above(parse_message_log, io.StringIO(generated_log))
         assert log.rows_read == 100_000
         assert peak / log.rows_read < 45
+
+    def test_load_counts_per_value(self, tmp_path):
+        # 12.4 bytes per value: the uint32 block columns and their int64 join (16.4 when the blocks were int64)
+        path = tmp_path / "wide.counts"
+        save_counts(path, sample_mixture(MixtureModel.from_parameters([0.7, 0.3], [5.0, 500.0], [0.9, 1.3]), 10**6, 0))
+        loaded, peak = peak_above(load_counts, path)
+        assert loaded.sample.size == 10**6
+        assert peak / loaded.sample.size < 14
 
     @pytest.mark.parametrize(("rule", "bound"), [("first-response", 55), ("exclusive", 75)])
     def test_extract_reply_delays_per_usable_message(self, generated_log, rule, bound):

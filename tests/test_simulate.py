@@ -14,7 +14,7 @@ from lomaxmix import (
     chi_square_test,
     sample_mixture,
 )
-from lomaxmix.simulate import _CHUNK, _counts_from_rates, _gamma_variates, _rng
+from lomaxmix.simulate import _CHUNK, _ahead, _counts_from_rates, _gamma_variates, _rng
 
 import mechanism
 import sampler_reference
@@ -95,11 +95,12 @@ class TestMixtureSampler:
         assert not np.array_equal(a.values, c.values)
 
     def test_peak_memory_of_a_million_draws(self):
-        # README: 1e6 draws from 0.7:5:0.9,0.3:500:1.3 peak at 31.7 MiB of numpy memory
+        # README: 1e6 draws from 0.7:5:0.9,0.3:500:1.3 peak at 17.0 MiB of numpy memory,
+        # 8.6 of them the output, the component index and one component's mask
         model = MixtureModel.from_parameters([0.7, 0.3], [5.0, 500.0], [0.9, 1.3])
         sample, peak = peak_above(sample_mixture, model, 1_000_000, 0)
         assert sample.size == 1_000_000
-        assert peak < 35 * 2**20
+        assert peak < 22 * 2**20
 
     def test_golden_stream(self):
         model = MixtureModel.from_parameters([0.7, 0.3], [2.0, 20.0], [1.2, 3.0])
@@ -141,6 +142,43 @@ class TestMixtureSampler:
 
     def test_largest_seed_accepted(self):
         assert sample_mixture(single(1.0, 1.0), 10, seed=2**128 - 1).size == 10
+
+
+class TestAhead:
+    """_ahead gives the stream ``delta`` doubles later and leaves its argument
+    where it was, from any fill of Philox's four-output buffer."""
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**128 - 2, 2**128 - 1])
+    def test_equals_the_stream_delta_doubles_later(self, seed):
+        for drawn in range(8):  # 0 to 3 doubles left in the buffer, twice over
+            for delta in [0, 1, 2, 3, 4, 5, 7, 8, 9, 4097, _CHUNK + 3]:
+                rng = _rng(seed)
+                rng.random(drawn)
+                ahead = _ahead(rng, delta)
+                want = _rng(seed)
+                want.random(drawn + delta)
+                assert np.array_equal(ahead.random(9), want.random(9)), (drawn, delta)
+                want = _rng(seed)
+                want.random(drawn)
+                assert np.array_equal(rng.random(9), want.random(9)), (drawn, delta)
+
+    @pytest.mark.parametrize("shape", [0.3, 1.3])
+    def test_gamma_leaves_the_generator_at_the_whole_array_position(self, shape):
+        for size in [1, 2, _CHUNK - 1, _CHUNK + 1, 3 * _CHUNK]:
+            rng, want = _rng(5), _rng(5)
+            rng.random(size % 4)  # start with some doubles buffered
+            want.random(size % 4)
+            _gamma_variates(rng, shape, size)
+            sampler_reference.gamma_variates(want, shape, size)
+            assert np.array_equal(rng.random(9), want.random(9)), size
+
+    def test_counts_may_overwrite_their_rates(self):
+        lam = np.geomspace(1e-12, 30.0, 3 * _CHUNK + 5)
+        lam[::7] = 0.0
+        want = sampler_reference.counts_from_rates(_rng(8), lam)
+        got = _counts_from_rates(_rng(8), lam, out=lam.view(np.int64))
+        assert np.shares_memory(got, lam)
+        assert np.array_equal(got, want)
 
 
 class TestStreamReference:
