@@ -34,6 +34,7 @@ from .errors import (
     ValidationError,
 )
 from .fitting import (
+    _MAX_SIZE,
     FitConfig,
     ScanResult,
     fit_lognormal,
@@ -62,7 +63,7 @@ from .report import (
     sample_digest,
     write_report,
 )
-from .simulate import _MAX_SIZE, sample_mixture
+from .simulate import sample_mixture
 
 EXIT_OK = 0
 EXIT_EMPTY = 1
@@ -129,10 +130,6 @@ def cmd_replies(args) -> int:
     return EXIT_OK
 
 
-def _fit_config(args) -> FitConfig:
-    return FitConfig(starts=args.starts, seed=args.seed)
-
-
 def _print_scan_table(scan) -> None:
     best_aic = scan.best.aic
     print(f"{'M':>3} {'n':>3} {'logL':>16} {'AIC':>16} {'dAIC':>12} conv")
@@ -147,14 +144,14 @@ def _print_scan_table(scan) -> None:
 
 def cmd_scan(args) -> int:
     sample = _load_sample(args.counts)
-    config = _fit_config(args)
+    config = FitConfig(starts=args.starts, seed=args.seed)
     scan = scan_orders(sample, args.m_max, config)
     return _report_fits(args, sample, scan, config, m_max=args.m_max)
 
 
 def cmd_fit(args) -> int:
     sample = _load_sample(args.counts)
-    config = _fit_config(args)
+    config = FitConfig(starts=args.starts, seed=args.seed)
     fit = fit_mixture(sample, args.m, config)
     return _report_fits(args, sample, ScanResult(fits=(fit,), best_index=0), config, m_max=args.m)
 
@@ -162,41 +159,27 @@ def cmd_fit(args) -> int:
 def _report_fits(args, sample, scan: ScanResult, config: FitConfig, m_max: int) -> int:
     """Test the selected fit, fit the baselines, write the report, print."""
     best = scan.best
-
-    gof_report, gof_error = None, None
     try:
-        gof_report = chi_square_test(best.model, sample, best.n_params, args.alpha)
+        gof = chi_square_test(best.model, sample, best.n_params, args.alpha)
     except (InsufficientResolutionError, ValidationError) as exc:
-        gof_error = str(exc)
+        gof = str(exc)
 
     baselines = {}
-    baseline_errors = {}
     for name, fitter in (("power_law", fit_power_law), ("lognormal", fit_lognormal)):
         try:
             baselines[name] = fitter(sample)
         except DegenerateDataError as exc:
-            baseline_errors[name] = str(exc)
+            baselines[name] = str(exc)
             _err(f"baseline {name} failed: {exc}")
 
     config_echo = {**dataclasses.asdict(config), "m_max": m_max, "alpha": args.alpha}
-    report = build_report(
-        scan,
-        sample,
-        gof=gof_report,
-        gof_error=gof_error,
-        baselines=baselines,
-        config_echo=config_echo,
-    )
-    for name, msg in baseline_errors.items():
-        report["baselines"][name] = {"error": msg}
-
     out = args.out or f"{args.counts}.report.json"
-    write_report(out, report)
+    write_report(out, build_report(scan, sample, gof, baselines, config_echo))
     _print_scan_table(scan)
-    if gof_report is not None:
-        _print_verdict(gof_report)
+    if isinstance(gof, str):
+        print(f"gof unavailable: {gof}")
     else:
-        print(f"gof unavailable: {gof_error}")
+        _print_verdict(gof)
     print(f"report -> {out}")
     return EXIT_OK
 

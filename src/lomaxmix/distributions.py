@@ -200,18 +200,23 @@ class RankModel:
 
 
 def _validate_counts(k, name: str = "k"):
-    """Validate integer support values k >= 1, return (float array, scalar?)."""
+    """Validate integer support values k >= 1, return (array, scalar?).
+
+    Integer input comes back as it is, float input as float64: wherever an
+    integer meets a float, numpy converts it exactly as a float copy would.
+    """
     arr = np.asarray(k)
     if arr.dtype.kind not in "iuf":
         raise DomainError(f"{name} must be integer-valued, got dtype {arr.dtype}")
-    farr = arr.astype(float)
-    if not np.all(np.isfinite(farr)):
-        raise DomainError(f"{name} must be finite")
-    if np.any(farr != np.floor(farr)):
-        raise DomainError(f"{name} must be integer-valued")
-    if np.any(farr < 1.0):
+    if arr.dtype.kind == "f":
+        arr = arr.astype(float)
+        if not np.all(np.isfinite(arr)):
+            raise DomainError(f"{name} must be finite")
+        if np.any(arr != np.floor(arr)):
+            raise DomainError(f"{name} must be integer-valued")
+    if np.any(arr < 1):
         raise DomainError(f"{name} must be >= 1")
-    return farr, arr.ndim == 0
+    return arr, arr.ndim == 0
 
 
 def _ret(value: np.ndarray, scalar: bool):
@@ -222,12 +227,6 @@ def _ret(value: np.ndarray, scalar: bool):
 # the component kernel (shared with the batched fitting objective) and its
 # mixture reductions, on raw parameter arrays
 # ---------------------------------------------------------------------------
-
-
-def _log_survival_terms(b, k: np.ndarray) -> np.ndarray:
-    """s = log1p((k - 1) / b): the log-survival of a component is -v s."""
-    s = (k - 1.0) / b[..., None]
-    return np.log1p(s, out=s)
 
 
 def _component_terms(b, v, k: np.ndarray, out=None):
@@ -263,16 +262,11 @@ def _log_survival_and_step(b, v, k: np.ndarray):
 
 def _component_ccdf(c, b, v, k: np.ndarray) -> np.ndarray:
     """(M, K) weighted survival c (b / (b + k - 1))^v of each component."""
-    rows = _log_survival_terms(b, k)
+    rows = _component_terms(b, v, k)[0]
     rows *= -v[:, None]
     np.exp(rows, out=rows)
     rows *= c[:, None]
     return rows
-
-
-def _mix_ccdf(c, b, v, k: np.ndarray) -> np.ndarray:
-    # sum(axis=0) adds the rows in order, the same left fold as the scalar form
-    return _component_ccdf(c, b, v, k).sum(axis=0)
 
 
 def _mix_pmf(c, b, v, k: np.ndarray) -> np.ndarray:
@@ -289,8 +283,6 @@ def _mix_log_pmf(c, b, v, k: np.ndarray) -> np.ndarray:
     # likelihoods keep their bytes.  A zero weight gives a -inf row.
     rows += np.array([math.log(ci) if ci > 0.0 else -math.inf for ci in c])[:, None]
     rows += np.log(step, out=step)
-    if rows.shape[0] == 1:  # half the cost of the log-sum-exp at M = 1
-        return rows[0]
     top = rows.max(axis=0)
     rows -= top
     return top + np.log(np.exp(rows, out=rows).sum(axis=0))
@@ -323,7 +315,8 @@ def mixture_pmf(model: MixtureModel, k):
 
 def mixture_ccdf(model: MixtureModel, k):
     """P(K >= k) = sum_i c_i (b_i / (b_i + k - 1))^v_i; exactly 1 at k = 1."""
-    return _on_model(_mix_ccdf, model, k)
+    # sum(axis=0) adds the rows in order, the same left fold as the scalar form
+    return _on_model(lambda *params: _component_ccdf(*params).sum(axis=0), model, k)
 
 
 def mixture_log_pmf(model: MixtureModel, k):

@@ -67,6 +67,8 @@ _MAX_EVALS = 50_000  # evaluations of the objective and its gradient per start
 # _SLAB values at a time, and sorts only the rest
 _TALLY = 2**16
 _SLAB = 2**14
+# the most int64 or float64 values numpy holds in one array: its byte size must fit intp
+_MAX_SIZE = np.iinfo(np.intp).max // np.dtype(np.int64).itemsize
 
 
 @dataclass(frozen=True, eq=False)
@@ -491,6 +493,8 @@ def fit_mixture(data: CountSample, order: int, config: FitConfig = FitConfig()) 
     """
     if order < 1:
         raise DomainError(f"order must be >= 1, got {order!r}")
+    if config.starts > _MAX_SIZE // n_params_for_order(order):  # starts x (3M - 1) values
+        raise DomainError(f"starts = {config.starts} exceeds the starts one array can hold at M = {order}")
     ks_i, counts_i = data.distinct()
     n = int(counts_i.sum())
     n_free = n_params_for_order(order)
@@ -538,6 +542,8 @@ def scan_orders(data: CountSample, max_order: int, config: FitConfig = FitConfig
     """
     if max_order < 1:
         raise DomainError(f"max_order must be >= 1, got {max_order!r}")
+    if config.starts > _MAX_SIZE // n_params_for_order(max_order):  # starts x (3M - 1) values
+        raise DomainError(f"starts = {config.starts} exceeds the starts one array can hold at M = {max_order}")
     fits: list[FitResult] = []
     failures: dict[int, str] = {}
     for order in range(1, max_order + 1):

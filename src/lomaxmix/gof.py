@@ -156,21 +156,12 @@ def chi_square_test(
             f"{len(edges)} bins leave dof = {dof} after {n_params} fitted parameters"
         )
 
-    # observed counts per bin from the distinct-value representation
+    # observed and expected counts per bin; the last bin is the open tail
     cum = np.concatenate([[0], np.cumsum(counts)])
     positions = np.searchsorted(ks, np.asarray(edges, dtype=np.int64), side="left")
-    observed = []
-    for i in range(len(edges) - 1):
-        observed.append(int(cum[positions[i + 1]] - cum[positions[i]]))
-    observed.append(int(n - cum[positions[-1]]))
-
-    expected = [float(n) * (survs[i] - survs[i + 1]) for i in range(len(edges) - 1)]
-    expected.append(float(n) * survs[-1])
-
-    bins = []
-    for i in range(len(edges) - 1):
-        bins.append(GofBin(edges[i], edges[i + 1], observed[i], expected[i]))
-    bins.append(GofBin(edges[-1], None, observed[-1], expected[-1]))
+    observed = np.diff(cum[positions], append=n)
+    expected = -np.diff(survs, append=0.0) * n  # n (s_i - s_i+1), and n s_last
+    bins = tuple(map(GofBin, edges, edges[1:] + [None], observed.tolist(), expected.tolist()))
 
     chi2 = chi_square_statistic(observed, expected)
     p_value = chi_square_survival(chi2, dof)
@@ -178,7 +169,7 @@ def chi_square_test(
         chi2=chi2,
         dof=dof,
         p_value=p_value,
-        bins=tuple(bins),
+        bins=bins,
         alpha=float(alpha),
         rejected=p_value < alpha,
         n_params=int(n_params),

@@ -87,14 +87,17 @@ def _fit_to_scan_row(fit: FitResult, best_aic: float) -> dict:
 def build_report(
     scan: ScanResult,
     data: CountSample,
-    gof: GofReport | None = None,
-    gof_error: str | None = None,
-    baselines: dict[str, BaselineResult] | None = None,
-    config_echo: dict | None = None,
+    gof: GofReport | str,
+    baselines: dict[str, BaselineResult | str],
+    config: dict,
 ) -> dict:
-    """Assemble the full fit report for the selected model of a scan."""
+    """Assemble the full fit report for the selected model of a scan.
+
+    ``gof`` and each baseline are a result or the message of the error that stopped it.
+    """
     best = scan.best
-    report = {
+    failed = isinstance(gof, str)
+    return {
         "schema_version": SCHEMA_VERSION,
         "created_at": _dt.datetime.now(_dt.timezone.utc).isoformat(),
         "input_digest": sample_digest(data),
@@ -108,12 +111,13 @@ def build_report(
         "delta_aic_runner_up": scan.delta_aic_runner_up,
         "scan": [_fit_to_scan_row(f, best.aic) for f in scan.fits],
         "scan_failures": {str(m): msg for m, msg in sorted(scan.failures.items())},
-        "gof": _record_dict(gof) if gof is not None else None,
-        "gof_error": gof_error,
-        "baselines": {name: _record_dict(b) for name, b in (baselines or {}).items()},
-        "config": dict(config_echo or {}),
+        "gof": None if failed else _record_dict(gof),
+        "gof_error": gof if failed else None,
+        "baselines": {
+            name: {"error": b} if isinstance(b, str) else _record_dict(b) for name, b in baselines.items()
+        },
+        "config": dict(config),
     }
-    return report
 
 
 def write_report(path, report: dict) -> None:

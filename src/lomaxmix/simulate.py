@@ -40,7 +40,7 @@ import numpy as np
 
 from .distributions import MixtureModel
 from .errors import DomainError, ValidationError
-from .fitting import CountSample
+from .fitting import _MAX_SIZE, CountSample
 
 __all__ = ["sample_mixture"]
 
@@ -51,8 +51,6 @@ _MAX_DRAW = np.nextafter(2.0**63, 0.0)
 _CHUNK = 16_384
 # doubles per Philox counter value: the bit generator makes its outputs four at a time
 _PHILOX_BLOCK = 4
-# the most int64 values numpy holds in one array: its byte size must fit intp
-_MAX_SIZE = np.iinfo(np.intp).max // np.dtype(np.int64).itemsize
 
 
 def _rng(seed: int) -> np.random.Generator:

@@ -17,7 +17,7 @@ from lomaxmix import (
     mixture_pmf,
     rank_frequency,
 )
-from lomaxmix.distributions import _mix_ccdf_scalar
+from lomaxmix.distributions import SCALE_BOUNDS, SHAPE_BOUNDS, _mix_ccdf_scalar
 
 from conftest import random_mixture
 from mechanism import gamma_pdf, lognormal_asymptote
@@ -270,6 +270,26 @@ class TestModelInvariants:
             m = random_mixture(rng)
             assert np.all(np.diff(mixture_pmf(m, ks)) < 0.0)
             assert np.all(np.diff(mixture_ccdf(m, ks)) < 0.0)
+
+
+class TestInputDtypes:
+    def test_integer_input_gives_the_float_input_bits(self):
+        # integer k is used as it is, without a float copy
+        rng = np.random.default_rng(4)
+        ks = np.unique(np.concatenate([np.arange(1, 300), rng.integers(1, 2**63 - 1, 300), [2**63 - 1]]))
+        for _ in range(40):
+            m = random_mixture(rng, b_range=SCALE_BOUNDS, v_range=SHAPE_BOUNDS)
+            for f in (mixture_pmf, mixture_ccdf, mixture_log_pmf):
+                want = f(m, ks.astype(float))
+                assert np.array_equal(f(m, ks), want) and np.array_equal(f(m, ks.astype(np.uint64)), want)
+        rm = RankModel(shape=1.3, scale=2.0, population=10**6)
+        r = rng.integers(1, 10**6 + 1, 1000)
+        assert np.array_equal(rank_frequency(rm, r), rank_frequency(rm, r.astype(float)))
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint64, np.int8, float])
+    def test_values_below_one_rejected(self, dtype):
+        with pytest.raises(DomainError, match=">= 1"):
+            mixture_pmf(single(1.0, 1.0), np.array([3, 0, 2], dtype=dtype))
 
 
 class TestValidation:

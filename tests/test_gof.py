@@ -16,7 +16,7 @@ from lomaxmix import (
     mixture_ccdf,
     sample_mixture,
 )
-from lomaxmix.gof import chi_square_statistic, chi_square_survival
+from lomaxmix.gof import GofBin, _bin_edges, chi_square_statistic, chi_square_survival
 
 
 def single(b, v):
@@ -90,6 +90,26 @@ class TestChiSquareTest:
             sum(b.expected for b in rep.bins), data.size, atol=1e-6
         )
         assert rep.dof == len(rep.bins) - 1 - rep.n_params
+
+    @pytest.mark.parametrize(
+        "model",
+        [single(2.0, 1.5), MixtureModel.from_parameters([0.7, 0.3], [5.0, 500.0], [0.9, 1.3])],
+        ids=["M1", "M2"],
+    )
+    def test_bins_equal_a_per_bin_reference(self, model):
+        # each bin counted over the raw values, and n times the survival's fall across it
+        values = sample_mixture(model, 20_000, seed=8).values
+        rep = chi_square_test(model, CountSample(values), n_params=0, alpha=0.1)
+        edges, survs = _bin_edges(model, float(values.size))
+        n = float(values.size)
+        reference = []
+        for i, lo in enumerate(edges[:-1]):
+            hi = edges[i + 1]
+            observed = int(np.count_nonzero((values >= lo) & (values < hi)))
+            reference.append(GofBin(lo, hi, observed, n * (survs[i] - survs[i + 1])))
+        reference.append(GofBin(edges[-1], None, int(np.count_nonzero(values >= edges[-1])), n * survs[-1]))
+        assert rep.bins == tuple(reference)
+        assert all(type(b.observed) is int and type(b.expected) is float for b in rep.bins)
 
     def test_true_model_not_rejected(self):
         model = single(2.0, 1.5)
