@@ -229,6 +229,13 @@ def _ret(value: np.ndarray, scalar: bool):
 # ---------------------------------------------------------------------------
 
 
+def _log_survival_terms(b, k: np.ndarray, z=None, s=None) -> np.ndarray:
+    """s = log1p((k - 1) / b), so a component's log-survival is -v s; ``z`` and
+    ``s`` are None or buffers for (k - 1) / b and s (by default s overwrites z)."""
+    z = np.divide(k - 1.0, b[..., None], out=z)
+    return np.log1p(z, out=z if s is None else s)
+
+
 def _component_terms(b, v, k: np.ndarray, out=None):
     """s, t and v t of each component, shaped b.shape + (K,).
 
@@ -243,8 +250,7 @@ def _component_terms(b, v, k: np.ndarray, out=None):
     once and reads them back.
     """
     z, s, kb, t, vt = out or (None,) * 5
-    z = np.divide(k - 1.0, b[..., None], out=z)
-    s = np.log1p(z, out=z if s is None else s)
+    s = _log_survival_terms(b, k, z, s)
     kb = np.add(k, b[..., None], out=kb)
     t = np.divide(-1.0, kb, out=kb if t is None else t)
     np.log1p(t, out=t)
@@ -262,7 +268,8 @@ def _log_survival_and_step(b, v, k: np.ndarray):
 
 def _component_ccdf(c, b, v, k: np.ndarray) -> np.ndarray:
     """(M, K) weighted survival c (b / (b + k - 1))^v of each component."""
-    rows = _component_terms(b, v, k)[0]
+    # s alone: all of _component_terms doubles the time and the peak here
+    rows = _log_survival_terms(b, k)
     rows *= -v[:, None]
     np.exp(rows, out=rows)
     rows *= c[:, None]
@@ -340,7 +347,7 @@ def rank_frequency(rm: RankModel, r):
     if np.any(r_arr > rm.population):
         raise DomainError(f"r must be <= population ({rm.population})")
     out = (rm.scale / rm.population) * np.expm1(
-        np.log(rm.population / r_arr) / rm.shape
+        np.log(float(rm.population) / r_arr) / rm.shape
     )
     out = np.maximum(out, 0.0)
     return _ret(out, scalar)

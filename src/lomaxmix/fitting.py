@@ -484,6 +484,12 @@ def _minimize(fun, x, lo, hi, tol: float, max_evals: int):
         recent = np.concatenate([recent[:, 1:], f[:, None]], axis=1)
 
 
+def _check_start_array(starts: int, order: int) -> None:
+    """Refuse a start array of starts x (3M - 1) values that numpy cannot hold."""
+    if starts > _MAX_SIZE // (n_free := n_params_for_order(order)):
+        raise DomainError(f"starts x (3M - 1) = {starts} x {n_free} values at M = {order} exceeds the {_MAX_SIZE} one array can hold")
+
+
 def fit_mixture(data: CountSample, order: int, config: FitConfig = FitConfig()) -> FitResult:
     """Maximum-likelihood fit of an ``order``-component mixture.
 
@@ -493,8 +499,7 @@ def fit_mixture(data: CountSample, order: int, config: FitConfig = FitConfig()) 
     """
     if order < 1:
         raise DomainError(f"order must be >= 1, got {order!r}")
-    if config.starts > _MAX_SIZE // n_params_for_order(order):  # starts x (3M - 1) values
-        raise DomainError(f"starts = {config.starts} exceeds the starts one array can hold at M = {order}")
+    _check_start_array(config.starts, order)
     ks_i, counts_i = data.distinct()
     n = int(counts_i.sum())
     n_free = n_params_for_order(order)
@@ -542,8 +547,7 @@ def scan_orders(data: CountSample, max_order: int, config: FitConfig = FitConfig
     """
     if max_order < 1:
         raise DomainError(f"max_order must be >= 1, got {max_order!r}")
-    if config.starts > _MAX_SIZE // n_params_for_order(max_order):  # starts x (3M - 1) values
-        raise DomainError(f"starts = {config.starts} exceeds the starts one array can hold at M = {max_order}")
+    _check_start_array(config.starts, max_order)
     fits: list[FitResult] = []
     failures: dict[int, str] = {}
     for order in range(1, max_order + 1):

@@ -460,11 +460,13 @@ class TestMalformedInput:
         [
             (["--starts", "0"], "starts must be >= 1"),
             # start arrays past what one numpy array can hold ended in a ValueError traceback
-            (["--starts", str(2**60)], f"starts = {2**60} exceeds"),
-            (["--starts", str(2**62)], f"starts = {2**62} exceeds"),
-            (["--starts", str(10**20)], f"starts = {10**20} exceeds"),
+            (["--starts", str(2**60)], f"starts x (3M - 1) = {2**60} x 2 values at M = 1 exceeds"),
+            (["--starts", str(2**62)], f"starts x (3M - 1) = {2**62} x 2 values at M = 1 exceeds"),
+            (["--starts", str(10**20)], f"starts x (3M - 1) = {10**20} x 2 values at M = 1 exceeds"),
+            # the order alone can overflow it too
+            (["--m-max", str(10**17)], f"starts x (3M - 1) = 20 x {3 * 10**17 - 1} values at M = {10**17}"),
         ],
-        ids=["starts-0", "starts-2**60", "starts-2**62", "starts-10**20"],
+        ids=["starts-0", "starts-2**60", "starts-2**62", "starts-10**20", "m-max-10**17"],
     )
     def test_bad_fit_config_exit_2(self, tmp_path, capsys, flags, message):
         counts = tmp_path / "c.counts"

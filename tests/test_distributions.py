@@ -285,6 +285,10 @@ class TestInputDtypes:
         rm = RankModel(shape=1.3, scale=2.0, population=10**6)
         r = rng.integers(1, 10**6 + 1, 1000)
         assert np.array_equal(rank_frequency(rm, r), rank_frequency(rm, r.astype(float)))
+        # a population past int64 next to int64 ranks, which numpy may not convert
+        rm = RankModel(shape=1.3, scale=2.0, population=10**20)
+        r = rng.integers(1, 2**63 - 1, 1000)
+        assert np.array_equal(rank_frequency(rm, r), rank_frequency(rm, r.astype(float)))
 
     @pytest.mark.parametrize("dtype", [np.int64, np.uint64, np.int8, float])
     def test_values_below_one_rejected(self, dtype):
