@@ -35,6 +35,7 @@ from .errors import (
 )
 from .fitting import (
     _MAX_SIZE,
+    CountSample,
     FitConfig,
     ScanResult,
     fit_lognormal,
@@ -302,15 +303,15 @@ def cmd_simulate(args) -> int:
         model = _parse_model_spec(args.model)
     else:
         model = model_from_dict(load_report(args.from_report)["components"])
-    sample = sample_mixture(model, args.n, args.seed)
+    draws = sample_mixture(model, args.n, args.seed)
     _claim_outputs(args.out, f"{args.out}.meta.json")
-    save_counts(args.out, sample)
+    save_counts(args.out, draws)
     meta = {
         "schema_version": SCHEMA_VERSION,
         "components": model_to_dict(model),
         "n": args.n,
         "seed": args.seed,
-        "output_digest": sample_digest(sample),
+        "output_digest": sample_digest(CountSample(draws)),
     }
     write_report(f"{args.out}.meta.json", meta)
     print(f"{args.n} draws -> {args.out}")

@@ -341,13 +341,19 @@ def rank_frequency(rm: RankModel, r):
     Computed as ``(b / l) * expm1(log(l / r) / v)``, the same quantity as
     ``b l^(1/v - 1) r^(-1/v) - b / l`` but with exact cancellation at
     r = l.  Floating error can still not drive it negative; the result is
-    clamped at zero regardless.
+    clamped at zero regardless.  A frequency past the float64 range is a
+    ``DomainError``.
     """
     r_arr, scalar = _validate_counts(r, "r")
     if np.any(r_arr > rm.population):
         raise DomainError(f"r must be <= population ({rm.population})")
-    out = (rm.scale / rm.population) * np.expm1(
-        np.log(float(rm.population) / r_arr) / rm.shape
-    )
+    with np.errstate(over="ignore"):  # an infinite frequency is refused below
+        out = (rm.scale / rm.population) * np.expm1(
+            np.log(float(rm.population) / r_arr) / rm.shape
+        )
+    if np.isinf(out).any():
+        raise DomainError(
+            f"f_r overflows float64 at shape {rm.shape!r} and population {rm.population}"
+        )
     out = np.maximum(out, 0.0)
     return _ret(out, scalar)

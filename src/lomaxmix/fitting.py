@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import partial
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .distributions import (
     SHAPE_BOUNDS,
     MixtureModel,
     _component_terms,
+    _validate_counts,
     mixture_log_pmf,
 )
 from .errors import (
@@ -71,52 +72,32 @@ _SLAB = 2**14
 _MAX_SIZE = np.iinfo(np.intp).max // np.dtype(np.int64).itemsize
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class CountSample:
-    """A multiset of positive-integer observations.
+    """A multiset of positive-integer observations, held as its distinct values.
 
-    ``values`` are the observed counts, one entry per observation.  The
-    sample holds them read-only, so its distinct-value form is computed
-    once: an int64 array that is read-only and owns its data is kept as
-    it is, any other input is copied.  The distinct values are counted,
-    not sorted: values below ``_TALLY`` go into a tally as long as the
-    largest of them, and only a copy of the larger ones is sorted, so a
-    heavy-tailed sample needs no sorted copy of itself.
+    ``CountSample(values)`` takes the observed counts, one entry per
+    observation, and keeps ``ks``, the sorted distinct values, and
+    ``counts``, their multiplicities: read-only int64 arrays that share
+    no memory with ``values``.  The likelihood depends on a sample only
+    through this form.  The values are counted, not sorted: values below
+    ``_TALLY`` go into a tally as long as the largest of them, and only a
+    copy of the larger ones is sorted, so a heavy-tailed sample needs no
+    sorted copy of itself.
     """
 
-    values: np.ndarray
+    ks: np.ndarray
+    counts: np.ndarray
 
-    def __post_init__(self) -> None:
-        vals = np.asarray(self.values)
-        if vals.ndim != 1 or vals.size == 0:
+    def __init__(self, values) -> None:
+        values = np.asarray(values)
+        if values.ndim != 1 or values.size == 0:
             raise DegenerateDataError("sample must be a non-empty 1-d sequence")
-        if vals.dtype.kind == "f":
-            if np.any(vals != np.floor(vals)) or not np.all(np.isfinite(vals)):
-                raise DomainError("sample values must be integers")
-        elif vals.dtype.kind not in "iu":
-            raise DomainError(f"sample values must be integers, got dtype {vals.dtype}")
-        if np.any(vals < 1):
-            raise DomainError("sample values must be >= 1")
+        values, _ = _validate_counts(values, "sample values")
         # only these dtypes hold values that int64 cannot
-        if (vals.dtype.kind == "f" or vals.dtype == np.uint64) and np.any(vals >= 2**63):
+        if (values.dtype.kind == "f" or values.dtype == np.uint64) and np.any(values >= 2**63):
             raise DomainError(f"sample values must be <= {2**63 - 1}")
-        if vals.dtype != np.int64 or vals.flags.writeable or not vals.flags.owndata:
-            vals = vals.astype(np.int64)  # a copy the caller cannot change
-            vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def size(self) -> int:
-        """Number of observations."""
-        return int(self.values.size)
-
-    def distinct(self) -> tuple[np.ndarray, np.ndarray]:
-        """Sorted distinct values and their multiplicities (read-only arrays)."""
-        return self._distinct
-
-    @cached_property
-    def _distinct(self) -> tuple[np.ndarray, np.ndarray]:
-        values = self.values
+        values = values.astype(np.int64, copy=False)
         rest = values[values >= _TALLY]  # the values not tallied
         tally = np.zeros(_TALLY if rest.size else int(values.max()) + 1, dtype=np.int64)
         for lo in range(0, values.size, _SLAB):
@@ -128,16 +109,22 @@ class CountSample:
         edges[0] = edges[-1] = True
         np.not_equal(rest[1:], rest[:-1], out=edges[1:-1])
         edges = np.flatnonzero(edges)
-        vals = np.empty(small.size + edges.size - 1, dtype=np.int64)
-        vals[: small.size] = small
-        np.take(rest, edges[:-1], out=vals[small.size :], mode="clip")  # "raise" would buffer out
+        ks = np.empty(small.size + edges.size - 1, dtype=np.int64)
+        ks[: small.size] = small
+        np.take(rest, edges[:-1], out=ks[small.size :], mode="clip")  # "raise" would buffer out
         del rest
-        counts = np.empty_like(vals)
+        counts = np.empty_like(ks)
         counts[: small.size] = tally[small]
         np.subtract(edges[1:], edges[:-1], out=counts[small.size :])
-        vals.flags.writeable = False
+        ks.flags.writeable = False
         counts.flags.writeable = False
-        return vals, counts
+        object.__setattr__(self, "ks", ks)
+        object.__setattr__(self, "counts", counts)
+
+    @property
+    def size(self) -> int:
+        """Number of observations."""
+        return int(self.counts.sum())
 
 
 @dataclass(frozen=True)
@@ -226,8 +213,7 @@ def aic(log_likelihood: float, n_params: int) -> float:
 
 def log_likelihood(model: MixtureModel, data: CountSample) -> float:
     """Sum of log mixture mass over the sample, via the distinct-value form."""
-    ks, counts = data.distinct()
-    return float(np.dot(counts.astype(float), mixture_log_pmf(model, ks)))
+    return float(np.dot(data.counts.astype(float), mixture_log_pmf(model, data.ks)))
 
 
 # ---------------------------------------------------------------------------
@@ -500,17 +486,16 @@ def fit_mixture(data: CountSample, order: int, config: FitConfig = FitConfig()) 
     if order < 1:
         raise DomainError(f"order must be >= 1, got {order!r}")
     _check_start_array(config.starts, order)
-    ks_i, counts_i = data.distinct()
-    n = int(counts_i.sum())
+    n = data.size
     n_free = n_params_for_order(order)
     if n < n_free:
         raise ValidationError(f"sample size {n} is too small to fit {n_free} parameters")
-    if ks_i.size == 1:
+    if data.ks.size == 1:
         raise DegenerateDataError(
             "all observations are identical; the mixture likelihood has no interior optimum"
         )
-    ks = ks_i.astype(float)
-    counts = counts_i.astype(float)
+    ks = data.ks.astype(float)
+    counts = data.counts.astype(float)
 
     theta0 = _moment_start(ks, counts, order)
     key = np.array([config.seed % 2**64, order], dtype=np.uint64)
@@ -543,7 +528,9 @@ def scan_orders(data: CountSample, max_order: int, config: FitConfig = FitConfig
     """Fit every order 1..max_order and select the minimum-AIC model.
 
     Per-order failures are recorded rather than raised as long as at
-    least one order fits; AIC ties go to the smaller order.
+    least one order fits; AIC ties go to the smaller order.  The scan
+    stops at the first order with more parameters than observations,
+    since every higher order has more still.
     """
     if max_order < 1:
         raise DomainError(f"max_order must be >= 1, got {max_order!r}")
@@ -555,6 +542,8 @@ def scan_orders(data: CountSample, max_order: int, config: FitConfig = FitConfig
             fits.append(fit_mixture(data, order, config))
         except (FitError, DegenerateDataError, ValidationError, DomainError) as exc:
             failures[order] = str(exc)
+            if n_params_for_order(order) > data.size:
+                break
     if not fits:
         raise FitError(f"no order in 1..{max_order} produced a fit: {failures}")
     best_index = min(range(len(fits)), key=lambda i: (fits[i].aic, fits[i].order))
@@ -580,9 +569,8 @@ def fit_power_law(data: CountSample) -> BaselineResult:
     When every observation is k = 1 the likelihood increases in beta, and
     the fit is flagged as non-converged at beta = 50.
     """
-    ks_i, counts_i = data.distinct()
-    ks = ks_i.astype(float)
-    counts = counts_i.astype(float)
+    ks = data.ks.astype(float)
+    counts = data.counts.astype(float)
     n = counts.sum()
     sum_log = float(np.dot(counts, np.log(ks)))
 
@@ -615,9 +603,8 @@ def fit_power_law(data: CountSample) -> BaselineResult:
 
 def fit_lognormal(data: CountSample) -> BaselineResult:
     """Closed-form continuous lognormal MLE on the log counts."""
-    ks_i, counts_i = data.distinct()
-    ks = ks_i.astype(float)
-    counts = counts_i.astype(float)
+    ks = data.ks.astype(float)
+    counts = data.counts.astype(float)
     n = counts.sum()
     log_k = np.log(ks)
     mu = float(np.dot(counts, log_k) / n)

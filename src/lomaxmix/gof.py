@@ -60,9 +60,8 @@ class GofReport:
 
 def empirical_ccdf(data: CountSample) -> tuple[np.ndarray, np.ndarray]:
     """Distinct observed values k and the sample fractions P_hat(K >= k)."""
-    ks, counts = data.distinct()
-    tail = np.cumsum(counts[::-1])[::-1]
-    return ks, tail / counts.sum()
+    tail = np.cumsum(data.counts[::-1])[::-1]
+    return data.ks, tail / data.size
 
 
 def chi_square_statistic(observed, expected) -> float:
@@ -139,8 +138,7 @@ def chi_square_test(
         raise DomainError(f"n_params must be >= 0, got {n_params!r}")
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
-    ks, counts = data.distinct()
-    n = int(counts.sum())
+    ks, counts, n = data.ks, data.counts, data.size
     if n < _MIN_SAMPLE:
         raise ValidationError(f"need at least {_MIN_SAMPLE} observations, got {n}")
 

@@ -450,8 +450,8 @@ def _exclusive_responses(times, forward, new_run, new_conversation):
     return matched, gaps
 
 
-def discretize(sample: ReplyDelaySample) -> CountSample:
-    """Map delays to counts k = max(1, ceil(delay / dt)); support starts at 1.
+def discretize(sample: ReplyDelaySample) -> np.ndarray:
+    """Map delays to int64 counts k = max(1, ceil(delay / dt)), in delay order; support starts at 1.
 
     A count that int64 cannot hold raises: dt is too small for the delays.
     """
@@ -463,9 +463,7 @@ def discretize(sample: ReplyDelaySample) -> CountSample:
             f"dt = {sample.discretization!r} s gives a count past {_MAX_COUNT} for a delay of "
             f"{float(sample.delays.max())!r} s"
         )
-    counts = np.maximum(k, 1, out=k).astype(np.int64)
-    counts.flags.writeable = False  # hand the counts over to CountSample uncopied
-    return CountSample(counts)
+    return np.maximum(k, 1, out=k).astype(np.int64)
 
 
 def _read_blocks(source):
@@ -543,7 +541,6 @@ def load_counts(source) -> CountLoadResult:
         raise InputFormatError("count file contains no rows")
     values = np.concatenate(columns, dtype=np.int64)
     del columns
-    values.flags.writeable = False  # hand the values over to CountSample uncopied
     if not values.size:
         raise DegenerateDataError(f"no usable counts out of {rows} rows")
     return CountLoadResult(
@@ -604,9 +601,9 @@ def _count_rows(lines, lineno: int, errors: list) -> np.ndarray:
     return np.array(values, dtype=np.int64)
 
 
-def save_counts(path, sample: CountSample) -> None:
-    """Write one count per line (the bare-count file format)."""
-    _write_lines(path, sample.values)
+def save_counts(path, counts: np.ndarray) -> None:
+    """Write an int array of counts, one per line (the bare-count file format)."""
+    _write_lines(path, np.asarray(counts, dtype=np.int64))
 
 
 def write_delays(path, sample: ReplyDelaySample) -> None:

@@ -34,8 +34,7 @@ _JSON_PIECES = 4096  # encoder pieces joined per write
 
 def sample_digest(sample: CountSample) -> str:
     """SHA-256 of the canonical distinct-value representation."""
-    ks, counts = sample.distinct()
-    payload = "\n".join(f"{k}:{c}" for k, c in zip(ks.tolist(), counts.tolist()))
+    payload = "\n".join(f"{k}:{c}" for k, c in zip(sample.ks.tolist(), sample.counts.tolist()))
     return hashlib.sha256(payload.encode("ascii")).hexdigest()
 
 
@@ -45,7 +44,7 @@ def model_to_dict(model: MixtureModel) -> list[dict]:
             "c": comp.weight,
             "b": comp.scale,
             "v": comp.shape,
-            "mean_lambda": comp.shape / comp.scale,
+            "mean_lambda": comp.mean_rate,
         }
         for comp in model.components
     ]

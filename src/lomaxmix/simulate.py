@@ -40,7 +40,7 @@ import numpy as np
 
 from .distributions import MixtureModel
 from .errors import DomainError, ValidationError
-from .fitting import _MAX_SIZE, CountSample
+from .fitting import _MAX_SIZE
 
 __all__ = ["sample_mixture"]
 
@@ -178,9 +178,10 @@ def _counts_from_rates(rng: np.random.Generator, lam: np.ndarray, out: np.ndarra
     return counts
 
 
-def sample_mixture(model: MixtureModel, n: int, seed: int = 0) -> CountSample:
-    """Draw ``n`` counts from the mixture: pick a component by weight, draw
-    its gamma rate, then the geometric count given that rate.
+def sample_mixture(model: MixtureModel, n: int, seed: int = 0) -> np.ndarray:
+    """Draw ``n`` counts from the mixture, an int64 array in draw order: pick
+    a component by weight, draw its gamma rate, then the geometric count
+    given that rate.
 
     Deterministic and reproducible for a given seed.
     """
@@ -210,5 +211,4 @@ def sample_mixture(model: MixtureModel, n: int, seed: int = 0) -> CountSample:
         lam /= comp.scale
         out[mask] = _counts_from_rates(rng, lam, out=lam.view(np.int64))
         del lam, mask  # before the next component's rates and mask are made
-    out.flags.writeable = False  # hand the draws over to CountSample uncopied
-    return CountSample(out)
+    return out

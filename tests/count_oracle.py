@@ -10,8 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from lomaxmix import CountSample, DegenerateDataError, InputFormatError
-from lomaxmix.ingest import CountLoadResult
+from lomaxmix import DegenerateDataError, InputFormatError
 
 _MAX_COUNT = np.iinfo(np.int64).max
 
@@ -30,11 +29,12 @@ def _iter_lines(source):
         raise InputFormatError(f"{source} is not UTF-8 text: {exc}") from exc
 
 
-def load_counts(source) -> CountLoadResult:
+def load_counts(source) -> tuple[np.ndarray, int, tuple[tuple[int, str], ...]]:
     """Load a count file: ``unit_id,count`` rows or one bare count per line.
 
-    Zero, negative or non-integer counts are row errors (the support
-    starts at k = 1); they are tallied with line numbers and skipped.
+    Returns the usable counts in line order, the rows read and the row
+    errors.  Zero, negative or non-integer counts are row errors (the
+    support starts at k = 1); they are tallied with line numbers and skipped.
     """
     values: list[int] = []
     errors: list[tuple[int, str]] = []
@@ -61,8 +61,4 @@ def load_counts(source) -> CountLoadResult:
         raise InputFormatError("count file contains no rows")
     if not values:
         raise DegenerateDataError(f"no usable counts out of {rows} rows")
-    return CountLoadResult(
-        sample=CountSample(np.asarray(values, dtype=np.int64)),
-        rows_read=rows,
-        row_errors=tuple(errors),
-    )
+    return np.asarray(values, dtype=np.int64), rows, tuple(errors)

@@ -8,8 +8,8 @@ held at once beyond the memory live before it, outputs included.
 import tracemalloc
 
 
-def peak_above(call, *args, **kwargs):
-    """(result, bytes): ``call``'s result and its tracemalloc peak above the memory traced before it."""
+def _traced(call, args, kwargs):
+    """``call``'s result, and the memory traced after it and at its peak, both above the memory traced before it."""
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
@@ -17,8 +17,20 @@ def peak_above(call, *args, **kwargs):
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         result = call(*args, **kwargs)
-        peak = tracemalloc.get_traced_memory()[1]
+        after, peak = tracemalloc.get_traced_memory()
     finally:
         if not tracing:
             tracemalloc.stop()
-    return result, peak - before
+    return result, after - before, peak - before
+
+
+def peak_above(call, *args, **kwargs):
+    """(result, bytes): ``call``'s result and its tracemalloc peak above the memory traced before it."""
+    result, _, peak = _traced(call, args, kwargs)
+    return result, peak
+
+
+def held_above(call, *args, **kwargs):
+    """(result, bytes): ``call``'s result and the memory it leaves allocated, the result's included."""
+    result, held, _ = _traced(call, args, kwargs)
+    return result, held

@@ -37,8 +37,9 @@ def unit_model():
     return MixtureModel.from_parameters([1.0], [1.0], [1.0])
 
 
-def write_exact_report(model, data, path):
-    """A fit report whose components are exactly the given model."""
+def write_exact_report(model, draws, path):
+    """A fit report on the sample of ``draws`` whose components are exactly the given model."""
+    data = CountSample(draws)
     ll = log_likelihood(model, data)
     n = n_params_for_order(model.order)
     fit = FitResult(
@@ -281,15 +282,21 @@ class TestFailureValues:
         out = tmp_path / "r.json"
         assert main(["scan", str(counts), "--m-max", "4", "--out", str(out)]) == 0
         report = load_report(out)
-        assert report["scan_failures"] == {
-            "3": "sample size 5 is too small to fit 8 parameters",
-            "4": "sample size 5 is too small to fit 11 parameters",
-        }
+        # the scan stops at order 3, the first with more parameters than observations
+        assert report["scan_failures"] == {"3": "sample size 5 is too small to fit 8 parameters"}
         assert report["gof"] is None
         assert report["gof_error"] == "need at least 25 observations, got 5"
         assert "gof unavailable: need at least 25 observations, got 5" in capsys.readouterr().out
         assert set(report["baselines"]) == {"power_law", "lognormal"}
-        assert _report_digest(out) == "8d98ed93017c74a33c1eab1ef53e9c08db14bdac7bcb859b8ca3721085e2e0b5"
+        assert _report_digest(out) == "e75ec838f7d3472a20c641bc9ebc0ba83023c778a64b7f4961e4a9d45e643b71"
+
+    def test_scan_of_a_billion_orders_stops_at_the_first_it_cannot_fit(self, tmp_path):
+        # it once tried every order, writing a failure for each
+        counts = tmp_path / "tiny.counts"
+        counts.write_text("1\n1\n2\n3\n5\n")
+        out = tmp_path / "r.json"
+        assert main(["scan", str(counts), "--m-max", str(10**9), "--starts", "1", "--out", str(out)]) == 0
+        assert load_report(out)["scan_failures"] == {"3": "sample size 5 is too small to fit 8 parameters"}
 
 
 class TestCcdf:
@@ -377,6 +384,16 @@ class TestRank:
             code, peak = peak_above(main, ["rank", str(rep), "-l", "200000", "--out", str(out)])
         assert code == 0
         assert peak / 200_000 < 29
+
+    def test_frequencies_past_float64_exit_2(self, tmp_path, capsys):
+        # f_1 = expm1(log(1000) / 0.001) / 1000 is past the float64 range
+        model = MixtureModel.from_parameters([1.0], [1.0], [0.001])
+        rep = tmp_path / "r.json"
+        write_exact_report(model, sample_mixture(unit_model(), 1000, seed=10), rep)
+        out = tmp_path / "r.tsv"
+        assert main(["rank", str(rep), "-l", "1000", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: f_r overflows float64 at shape 0.001 and population 1000\n"
+        assert not out.exists()
 
     def test_bad_population(self, tmp_path):
         model = unit_model()

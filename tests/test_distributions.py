@@ -169,6 +169,14 @@ class TestRankLaws:
         with pytest.raises(DomainError):
             rank_frequency(rm, 11)
 
+    def test_frequencies_past_float64_refused(self):
+        # expm1(log(1000 / r) / 0.001) / 1000 overflows for r up to 491;
+        # it once came back as inf with an overflow warning
+        rm = RankModel(shape=0.001, scale=1.0, population=1000)
+        with pytest.raises(DomainError, match="f_r overflows float64 at shape 0.001 and population 1000"):
+            rank_frequency(rm, np.arange(1, 1001))
+        assert rank_frequency(rm, 1000) == 0.0
+
 
 class TestLognormalAsymptote:
     def test_exact_at_unit_k(self):

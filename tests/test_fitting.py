@@ -31,7 +31,7 @@ from lomaxmix import fitting
 from lomaxmix.fitting import _SLAB, _TALLY
 from lomaxmix.special import riemann_zeta
 
-from memory import peak_above
+from memory import held_above, peak_above
 
 
 def single(b, v):
@@ -42,17 +42,16 @@ TRUTH_2 = MixtureModel.from_parameters([0.7, 0.3], [2.0, 20.0], [1.2, 3.0])
 
 
 class TestCountSample:
-    @pytest.mark.parametrize("weights", [None])
-    def test_distinct_is_computed_once_and_read_only(self, weights):
+    def test_distinct_form_is_read_only_and_independent_of_the_input(self):
         values = np.array([4, 9, 1, 4])
         sample = CountSample(values)
-        ks, counts = sample.distinct()
-        assert sample.distinct()[0] is ks and sample.distinct()[1] is counts
-        for array in (ks, counts, sample.values):
+        for array in (sample.ks, sample.counts):
+            assert array.dtype == np.int64 and not np.shares_memory(array, values)
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 7
-        values[0] = 2  # the sample holds its own copy
-        assert sample.distinct()[0].tolist() == [1, 4, 9]
+        values[0] = 2  # the sample does not see its input change
+        assert sample.ks.tolist() == [1, 4, 9] and sample.counts.tolist() == [1, 2, 1]
+        assert sample.size == 4
 
     @settings(max_examples=80, deadline=None, database=None)
     @given(
@@ -72,27 +71,26 @@ class TestCountSample:
     def test_distinct_equals_unique(self, pool, size, seed):
         # values below, across and above the tally's end, drawn from a small pool so they repeat
         values = np.array(pool, dtype=np.int64)[np.random.default_rng(seed).integers(0, len(pool), size)]
-        ks, counts = CountSample(values).distinct()
+        sample = CountSample(values)
         want_ks, want_counts = np.unique(values, return_counts=True)
-        assert ks.dtype == counts.dtype == np.int64
-        assert np.array_equal(ks, want_ks) and np.array_equal(counts, want_counts)
+        assert sample.ks.dtype == sample.counts.dtype == np.int64
+        assert np.array_equal(sample.ks, want_ks) and np.array_equal(sample.counts, want_counts)
 
     def test_distinct_peak_per_value(self):
         # 1e6 draws from 0.7:5:0.9,0.3:500:1.3, 99.9% of them below _TALLY:
         # 1.0 bytes per value (np.unique sorted a copy, 10 bytes per value)
-        sample = sample_mixture(MixtureModel.from_parameters([0.7, 0.3], [5.0, 500.0], [0.9, 1.3]), 10**6, 0)
-        (ks, counts), peak = peak_above(sample.distinct)
-        assert counts.sum() == sample.size
-        assert peak / sample.size < 2
+        values = sample_mixture(MixtureModel.from_parameters([0.7, 0.3], [5.0, 500.0], [0.9, 1.3]), 10**6, 0)
+        sample, peak = peak_above(CountSample, values)
+        assert sample.size == values.size
+        assert peak / values.size < 2
 
-    def test_holds_handed_over_int64_values_without_a_copy(self):
-        values = np.array([4, 9, 1, 4])
-        values.flags.writeable = False
-        assert np.shares_memory(CountSample(values).values, values)
-        # a view could change through its base, so it is copied
-        view = np.array([4, 9, 1, 4])[::2]
-        view.flags.writeable = False
-        assert not np.shares_memory(CountSample(view).values, view)
+    def test_keeps_only_the_distinct_form(self):
+        # 1e6 draws take 8 MB; the sample holds their 14,450 distinct values and counts, 0.2 MB
+        model = MixtureModel.from_parameters([0.7, 0.3], [5.0, 500.0], [0.9, 1.3])
+        CountSample(sample_mixture(model, 10, 0))  # the modules numpy imports on a first call
+        sample, held = held_above(lambda: CountSample(sample_mixture(model, 10**6, 0)))
+        assert sample.size == 10**6
+        assert held < 2**20
 
     def test_rejects_bad_values(self):
         with pytest.raises(DomainError):
@@ -119,7 +117,7 @@ class TestCountSample:
 
     def test_keeps_the_largest_int64_value(self):
         for values in (np.array([2**63 - 1], dtype=np.uint64), np.array([2.0**63 - 1024])):
-            assert CountSample(values).values.tolist() == [int(values[0])]
+            assert CountSample(values).ks.tolist() == [int(values[0])]
 
 
 class TestLogLikelihood:
@@ -156,7 +154,7 @@ class TestAic:
         assert aic(-10.0, 5) == 30.0
 
     def test_bit_exact_on_fit(self):
-        data = sample_mixture(single(2.0, 1.5), 2000, seed=1)
+        data = CountSample(sample_mixture(single(2.0, 1.5), 2000, seed=1))
         fit = fit_mixture(data, 1, FitConfig(starts=4, seed=0))
         assert fit.aic == aic(fit.log_likelihood, fit.n_params)
         assert fit.n_params == n_params_for_order(fit.order)
@@ -164,7 +162,7 @@ class TestAic:
 
 class TestFitMixture:
     def test_single_component_recovery(self):
-        data = sample_mixture(single(2.0, 1.5), 10**5, seed=42)
+        data = CountSample(sample_mixture(single(2.0, 1.5), 10**5, seed=42))
         fit = fit_mixture(data, 1, FitConfig(seed=0))
         comp = fit.model.components[0]
         assert abs(comp.scale - 2.0) / 2.0 < 0.05
@@ -172,7 +170,7 @@ class TestFitMixture:
         assert fit.converged
 
     def test_dominates_truth_likelihood(self):
-        data = sample_mixture(TRUTH_2, 3 * 10**4, seed=7)
+        data = CountSample(sample_mixture(TRUTH_2, 3 * 10**4, seed=7))
         fit = fit_mixture(data, 2, FitConfig(seed=7))
         assert fit.log_likelihood >= log_likelihood(TRUTH_2, data) - 1e-6
 
@@ -180,8 +178,8 @@ class TestFitMixture:
         # the returned optimum must beat the method-of-moments seed
         from lomaxmix.fitting import _moment_start, _objective
 
-        data = sample_mixture(TRUTH_2, 10**4, seed=3)
-        ks, counts = (a.astype(float) for a in data.distinct())
+        data = CountSample(sample_mixture(TRUTH_2, 10**4, seed=3))
+        ks, counts = data.ks.astype(float), data.counts.astype(float)
         nll, _ = _objective(_moment_start(ks, counts, 2)[None], ks, counts)
         seed_val = -nll[0]
         fit = fit_mixture(data, 2, FitConfig(seed=3))
@@ -196,7 +194,7 @@ class TestFitMixture:
             fit_mixture(CountSample(np.array([1, 2, 3])), 2)
 
     def test_deterministic(self):
-        data = sample_mixture(TRUTH_2, 5000, seed=5)
+        data = CountSample(sample_mixture(TRUTH_2, 5000, seed=5))
         a = fit_mixture(data, 2, FitConfig(starts=6, seed=11))
         b = fit_mixture(data, 2, FitConfig(starts=6, seed=11))
         assert a.model == b.model
@@ -205,7 +203,7 @@ class TestFitMixture:
 
     def test_sample_order_invariant(self):
         rng = np.random.default_rng(13)
-        values = sample_mixture(TRUTH_2, 5000, seed=13).values
+        values = sample_mixture(TRUTH_2, 5000, seed=13)
         shuffled = values.copy()
         rng.shuffle(shuffled)
         a = fit_mixture(CountSample(values), 2, FitConfig(starts=4, seed=2))
@@ -216,7 +214,7 @@ class TestFitMixture:
         # weights recovered within 3 standard errors; the SE is the marginal
         # one from the full 5-parameter observed information, since the
         # profile curvature alone understates it under correlation
-        data = sample_mixture(TRUTH_2, 10**6, seed=17)
+        data = CountSample(sample_mixture(TRUTH_2, 10**6, seed=17))
         fit = fit_mixture(data, 2, FitConfig(seed=17))
         weights = [c.weight for c in fit.model.components]
         assert weights == sorted(weights, reverse=True)
@@ -271,11 +269,11 @@ class TestFitter:
 
     @pytest.fixture(scope="class")
     def data(self):
-        return sample_mixture(TRUTH_2, 3000, seed=5)
+        return CountSample(sample_mixture(TRUTH_2, 3000, seed=5))
 
     @staticmethod
     def rows(data, order, n, seed):
-        ks, counts = (a.astype(float) for a in data.distinct())
+        ks, counts = data.ks.astype(float), data.counts.astype(float)
         rng = np.random.default_rng(seed)
         theta = fitting._moment_start(ks, counts, order) + rng.normal(0.0, 0.5, (n, 3 * order - 1))
         return theta, ks, counts
@@ -322,7 +320,7 @@ class TestFitter:
 
     def test_more_starts_extend_the_start_list(self, data):
         # the starts are a prefix, and each start's path ignores the others
-        ks, counts = (a.astype(float) for a in data.distinct())
+        ks, counts = data.ks.astype(float), data.counts.astype(float)
         rng = np.random.default_rng(3)
         x0 = fitting._moment_start(ks, counts, 3) + rng.normal(0.0, 0.7, (6, 8))
         lo, hi = fitting._box(3)
@@ -401,26 +399,26 @@ class TestFitter:
 
 class TestScanOrders:
     def test_single_order(self):
-        data = sample_mixture(single(2.0, 1.5), 3000, seed=2)
+        data = CountSample(sample_mixture(single(2.0, 1.5), 3000, seed=2))
         scan = scan_orders(data, 1, FitConfig(starts=4, seed=0))
         assert len(scan.fits) == 1
         assert scan.best_index == 0
         assert scan.delta_aic_runner_up is None
 
     def test_selects_two_components(self):
-        data = sample_mixture(TRUTH_2, 5 * 10**4, seed=21)
+        data = CountSample(sample_mixture(TRUTH_2, 5 * 10**4, seed=21))
         scan = scan_orders(data, 4, FitConfig(seed=21))
         assert scan.best.order == 2
         assert scan.delta_aic_runner_up > 0.0
 
     def test_single_geometric_like_component(self):
         # near-geometric truth: one tight component suffices
-        data = sample_mixture(single(100.0, 100.0), 2 * 10**4, seed=8)
+        data = CountSample(sample_mixture(single(100.0, 100.0), 2 * 10**4, seed=8))
         scan = scan_orders(data, 3, FitConfig(seed=8))
         assert scan.best.order == 1
 
     def test_best_is_min_aic(self):
-        data = sample_mixture(TRUTH_2, 2 * 10**4, seed=4)
+        data = CountSample(sample_mixture(TRUTH_2, 2 * 10**4, seed=4))
         scan = scan_orders(data, 3, FitConfig(starts=6, seed=4))
         aics = [f.aic for f in scan.fits]
         assert scan.best.aic == min(aics)
@@ -447,8 +445,8 @@ class TestPowerLawBaseline:
     def test_exponent_is_the_root_of_the_score(self, model):
         # reference: a brentq root of the score -mean log k - (log zeta)'(beta),
         # the derivative a central difference of log scipy.special.zeta
-        data = sample_mixture(model, 2 * 10**4, seed=12)
-        ks, counts = data.distinct()
+        data = CountSample(sample_mixture(model, 2 * 10**4, seed=12))
+        ks, counts = data.ks, data.counts
         mean_log = float(np.dot(counts, np.log(ks)) / counts.sum())
         h = 1e-5
 
@@ -475,7 +473,7 @@ class TestPowerLawBaseline:
         assert fit.params["beta"] >= 49.0
 
     def test_aic_worse_than_mixture_on_mixture_data(self):
-        data = sample_mixture(TRUTH_2, 2 * 10**4, seed=30)
+        data = CountSample(sample_mixture(TRUTH_2, 2 * 10**4, seed=30))
         mix = fit_mixture(data, 2, FitConfig(starts=8, seed=0))
         assert fit_power_law(data).aic > mix.aic
 
@@ -496,6 +494,6 @@ class TestLognormalBaseline:
         assert fit.n_params == 2
 
     def test_aic_worse_than_mixture_on_mixture_data(self):
-        data = sample_mixture(TRUTH_2, 2 * 10**4, seed=31)
+        data = CountSample(sample_mixture(TRUTH_2, 2 * 10**4, seed=31))
         mix = fit_mixture(data, 2, FitConfig(starts=8, seed=0))
         assert fit_lognormal(data).aic > mix.aic

@@ -37,18 +37,17 @@ class TestEmpiricalCcdf:
     def test_close_to_model_ccdf(self):
         # Dvoretzky-Kiefer-Wolfowitz: 1e5 draws stay within 0.01 of the model
         model = MixtureModel.from_parameters([0.6, 0.4], [1.5, 12.0], [1.1, 2.5])
-        data = sample_mixture(model, 10**5, seed=29)
+        data = CountSample(sample_mixture(model, 10**5, seed=29))
         ks, fr = empirical_ccdf(data)
         gap = np.abs(fr - mixture_ccdf(model, ks))
         assert gap.max() < 0.01
 
     def test_monotone_and_normalized(self):
-        data = sample_mixture(single(3.0, 1.0), 5000, seed=2)
+        data = CountSample(sample_mixture(single(3.0, 1.0), 5000, seed=2))
         _, fr = empirical_ccdf(data)
         assert fr[0] == 1.0
         assert np.all(np.diff(fr) < 0.0)
-        ks, counts = data.distinct()
-        assert fr[-1] == counts[-1] / data.size
+        assert fr[-1] == data.counts[-1] / data.size
 
 
 class TestChiSquareStatistic:
@@ -78,7 +77,7 @@ class TestChiSquareStatistic:
 class TestChiSquareTest:
     def test_bin_construction(self):
         model = single(2.0, 1.5)
-        data = sample_mixture(model, 10**4, seed=3)
+        data = CountSample(sample_mixture(model, 10**4, seed=3))
         rep = chi_square_test(model, data, n_params=0, alpha=0.1)
         assert rep.bins[0].k_lo == 1
         assert rep.bins[-1].k_hi is None
@@ -98,7 +97,7 @@ class TestChiSquareTest:
     )
     def test_bins_equal_a_per_bin_reference(self, model):
         # each bin counted over the raw values, and n times the survival's fall across it
-        values = sample_mixture(model, 20_000, seed=8).values
+        values = sample_mixture(model, 20_000, seed=8)
         rep = chi_square_test(model, CountSample(values), n_params=0, alpha=0.1)
         edges, survs = _bin_edges(model, float(values.size))
         n = float(values.size)
@@ -113,13 +112,13 @@ class TestChiSquareTest:
 
     def test_true_model_not_rejected(self):
         model = single(2.0, 1.5)
-        data = sample_mixture(model, 10**5, seed=11)
+        data = CountSample(sample_mixture(model, 10**5, seed=11))
         rep = chi_square_test(model, data, n_params=0, alpha=0.001)
         assert not rep.rejected
 
     def test_alpha_is_a_parameter(self):
         model = single(2.0, 1.5)
-        data = sample_mixture(model, 10**4, seed=5)
+        data = CountSample(sample_mixture(model, 10**4, seed=5))
         lo = chi_square_test(model, data, n_params=0, alpha=1e-9)
         hi = chi_square_test(model, data, n_params=0, alpha=0.999999)
         assert lo.alpha == 1e-9 and hi.alpha == 0.999999
@@ -130,7 +129,7 @@ class TestChiSquareTest:
 
     def test_representation_and_order_invariance(self):
         model = single(1.5, 1.2)
-        values = sample_mixture(model, 4000, seed=6).values
+        values = sample_mixture(model, 4000, seed=6)
         rng = np.random.default_rng(0)
         shuffled = values.copy()
         rng.shuffle(shuffled)
@@ -153,7 +152,7 @@ class TestChiSquareTest:
         truth = MixtureModel.from_parameters([0.7, 0.3], [2.0, 20.0], [1.2, 3.0])
         rejected = 0
         for seed in range(100):
-            data = sample_mixture(truth, 500, seed=seed)
+            data = CountSample(sample_mixture(truth, 500, seed=seed))
             fit = fit_mixture(data, 2, FitConfig(starts=5))
             rejected += chi_square_test(fit.model, data, fit.n_params, 0.1).rejected
         assert 3 <= rejected <= 20
@@ -172,7 +171,7 @@ class TestChiSquareTest:
 
     def test_dof_exhausted_by_parameters(self):
         model = single(2.0, 1.5)
-        data = sample_mixture(model, 200, seed=9)
+        data = CountSample(sample_mixture(model, 200, seed=9))
         rep = chi_square_test(model, data, n_params=0, alpha=0.05)
         with pytest.raises(InsufficientResolutionError):
             chi_square_test(model, data, n_params=len(rep.bins) - 1, alpha=0.05)

@@ -12,7 +12,6 @@ import log_oracle
 import reply_oracle
 from memory import peak_above
 from lomaxmix import (
-    CountSample,
     DegenerateDataError,
     DomainError,
     InputFormatError,
@@ -302,9 +301,9 @@ class TestWriters:
     @given(counts=st.lists(_COUNT, min_size=1, max_size=50), delays=st.lists(_DELAY, min_size=1, max_size=50))
     def test_bytes_equal_str_and_repr(self, counts, delays, tmp_path_factory):
         path = tmp_path_factory.mktemp("writers") / "out"
-        sample = CountSample(np.array(counts, dtype=np.int64))
-        save_counts(path, sample)
-        assert path.read_bytes() == _reference_lines(sample.values, str)
+        counts = np.array(counts, dtype=np.int64)
+        save_counts(path, counts)
+        assert path.read_bytes() == _reference_lines(counts, str)
         reply = ReplyDelaySample(delays=np.array(delays))
         write_delays(path, reply)
         assert path.read_bytes() == _reference_lines(reply.delays, repr)
@@ -319,7 +318,7 @@ class TestWriters:
         if odd_at is not None:
             delays[odd_at] = 0.5
             counts[odd_at] = 2**63 - 1
-        save_counts(tmp_path / "c", CountSample(counts))
+        save_counts(tmp_path / "c", counts)
         assert (tmp_path / "c").read_bytes() == _reference_lines(counts, str)
         write_delays(tmp_path / "d", ReplyDelaySample(delays=delays))
         assert (tmp_path / "d").read_bytes() == _reference_lines(delays, repr)
@@ -331,7 +330,7 @@ class TestDiscretize:
             delays=np.array([0.0, 60.0, 61.0, 3599.0]), discretization=60.0
         )
         counts = discretize(sample)
-        assert list(counts.values) == [1, 1, 2, 60]
+        assert counts.dtype == np.int64 and counts.tolist() == [1, 1, 2, 60]
 
     def test_positive_step_required(self):
         with pytest.raises(DomainError):
@@ -352,7 +351,7 @@ class TestDiscretize:
 
     def test_largest_counts_kept(self):
         sample = ReplyDelaySample(delays=np.array([2.0**62, 2.0**63 - 1024]), discretization=1.0)
-        assert list(discretize(sample).values) == [2**62, 2**63 - 1024]
+        assert discretize(sample).tolist() == [2**62, 2**63 - 1024]
 
 
 class TestParseMessageLog:
@@ -416,25 +415,26 @@ class TestCountFiles:
         path = tmp_path / "counts.csv"
         path.write_text("siteA,5\nsiteB,1\n")
         result = load_counts(path)
-        assert sorted(result.sample.values) == [1, 5]
+        assert result.sample.ks.tolist() == [1, 5] and result.sample.counts.tolist() == [1, 1]
         assert result.dropped == 0
 
     def test_zero_count_is_row_error(self, tmp_path):
         path = tmp_path / "counts.csv"
         path.write_text("siteA,5\nsiteC,0\nsiteB,1\n")
         result = load_counts(path)
-        assert sorted(result.sample.values) == [1, 5]
+        assert result.sample.ks.tolist() == [1, 5] and result.sample.counts.tolist() == [1, 1]
         assert result.dropped == 1
         assert result.row_errors[0][0] == 2
 
     def test_bare_counts_round_trip(self, tmp_path):
         rng = np.random.default_rng(12)
         values = rng.integers(1, 10**6, size=10**5)
-        sample = CountSample(values)
         path = tmp_path / "big.counts"
-        save_counts(path, sample)
-        loaded = load_counts(path)
-        assert np.array_equal(loaded.sample.values, sample.values)
+        save_counts(path, values)
+        assert path.read_bytes() == _reference_lines(values, str)
+        loaded = load_counts(path).sample
+        want_ks, want_counts = np.unique(values, return_counts=True)
+        assert np.array_equal(loaded.ks, want_ks) and np.array_equal(loaded.counts, want_counts)
 
     def test_empty_and_all_bad(self, tmp_path):
         empty = tmp_path / "e.counts"
@@ -522,12 +522,23 @@ def _count_input(draw):
     return kind, eol.join(lines) + draw(st.sampled_from([eol, ""]))
 
 
-def _outcome(load, source):
+def _outcome(source):
+    """load_counts's distinct values, their counts, rows read and row errors, or the type of its error."""
     try:
-        result = load(source)
+        result = load_counts(source)
     except LomaxMixError as exc:
         return type(exc)
-    return result.sample.values.tolist(), result.rows_read, result.row_errors
+    return result.sample.ks.tolist(), result.sample.counts.tolist(), result.rows_read, result.row_errors
+
+
+def _oracle_outcome(source):
+    """The same of count_oracle, its values tallied by np.unique."""
+    try:
+        values, rows_read, row_errors = count_oracle.load_counts(source)
+    except LomaxMixError as exc:
+        return type(exc)
+    ks, counts = np.unique(values, return_counts=True)
+    return ks.tolist(), counts.tolist(), rows_read, row_errors
 
 
 class TestCountOracle:
@@ -537,19 +548,19 @@ class TestCountOracle:
     @given(case=_count_input())
     def test_agrees_with_oracle(self, case, tmp_path_factory):
         sources = _sources(*case, tmp_path_factory)
-        assert _outcome(load_counts, sources()) == _outcome(count_oracle.load_counts, sources())
+        assert _outcome(sources()) == _oracle_outcome(sources())
 
     @pytest.mark.parametrize("kind", ["path", "stringio"])
     def test_as_many_non_digits_as_lines(self, kind, tmp_path_factory):
         # a comma is one of the two non-digits, and the last line has no line break
         sources = _sources(kind, "12\n3,4", tmp_path_factory)
-        assert _outcome(load_counts, sources()) == _outcome(count_oracle.load_counts, sources())
-        assert load_counts(sources()).sample.values.tolist() == [12, 4]
+        assert _outcome(sources()) == _oracle_outcome(sources())
+        assert _outcome(sources())[:2] == ([4, 12], [1, 1])
 
     @pytest.mark.parametrize("text", ["\ud800,5\n7\n", "u\udfff1,3\n\ud800\n", "5\n" * 3 + "\udc00"])
     def test_lone_surrogates_in_a_stream(self, text):
         # a stream's text need not be valid UTF-8; its lone surrogates are read as they stand
-        assert _outcome(load_counts, io.StringIO(text)) == _outcome(count_oracle.load_counts, io.StringIO(text))
+        assert _outcome(io.StringIO(text)) == _oracle_outcome(io.StringIO(text))
 
     @pytest.mark.parametrize("at", [-1, 0, 1])
     def test_bad_byte_near_the_first_block_end(self, tmp_path, at):
@@ -571,7 +582,7 @@ class TestCountOracle:
         first = 3 * _READ_BLOCK // 2 + 2
         assert result.row_errors == ((first, "non-integer count 'x'"), (first + 1, "count must be >= 1, got 0"))
         assert result.rows_read == len(lines) - 1
-        assert result.sample.values.size == len(lines) - 3
+        assert result.sample.size == len(lines) - 3
 
 
 # Log rows, written with "," for the delimiter, that the block path must
