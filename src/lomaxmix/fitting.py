@@ -2,9 +2,10 @@
 
 The mixture likelihood is maximized over stick-breaking logits for the
 weights, log scales and log shapes, boxed to the model's parameter
-bounds.  All starts step together: one batched evaluation returns every
-start's objective and analytic gradient, and a projected quasi-Newton
-(BFGS) search moves each start on its own.  The starts are a
+bounds.  The starts share one batched evaluation: each call returns every
+running start's objective and analytic gradient at that start's own trial
+point, and a projected quasi-Newton (BFGS) search with a line search per
+start moves each start on its own.  The starts are a
 method-of-moments seed (quantile partition of the sample, one component
 per group) plus log-normal jitter of factor-2 scale.  Model order is
 selected by AIC; a discrete power law and a continuous lognormal serve as
@@ -360,114 +361,126 @@ def _held(x, g, lo, hi) -> np.ndarray:
 def _minimize(fun, x, lo, hi, tol: float, max_evals: int):
     """Projected BFGS from every row of x (S, P) at once, within [lo, hi].
 
-    ``fun`` maps rows to their objective values and gradients.  Parameters
-    at a bound whose gradient pushes outward are held; the others step along
-    -H g, H a per-row inverse-Hessian estimate on the free parameters.  A
-    parameter that becomes held leaves H, one released re-enters it as the
-    scaled identity, so H keeps what it learned.  A backtracking line search
-    halves a step p at most _MAX_HALVINGS times until f falls by the Armijo
-    fraction of the decrease -g.p predicts.  At the noise floor, where that
-    prediction is at most eps max(1, |f|) and f's rounding hides it, the
-    search is one trial x_p at the full step, accepted on Hager and Zhang's
-    approximate Wolfe test: f_p <= f + eps max(1, |f|) and sigma phi'(0) <=
-    phi'(1) <= (2 delta - 1) phi'(0), with phi'(0) = g.(x_p - x) and phi'(1)
-    = g_p.(x_p - x).  Failing along -H g, the row retries along the scaled
-    gradient, and failing there it has converged.  It also converges when
-    its projected gradient is at most tol max(1, |f|) or f fell by less
-    than that over its last _WINDOW steps, and stops unconverged after
-    ``max_evals`` evaluations.  A row's path depends on that row alone.
-    Returns the final rows, objectives, convergence flags and evaluation
-    counts.
+    ``fun`` maps rows to their objective values and gradients; each call
+    evaluates every running row once, at that row's own trial point.
+    Parameters at a bound whose gradient pushes outward are held; the others
+    step along -H g, H a per-row inverse-Hessian estimate on the free
+    parameters.  A parameter that becomes held leaves H, one released
+    re-enters it as the scaled identity, so H keeps what it learned.  Each
+    row runs its own backtracking line search: it halves its step p, one
+    call at a time and at most _MAX_HALVINGS times, until f falls by the
+    Armijo fraction of the decrease -g.p predicts.  At the noise floor,
+    where that prediction is at most eps max(1, |f|) and f's rounding hides
+    it, the search is one trial x_p at the full step, accepted on Hager and
+    Zhang's approximate Wolfe test: f_p <= f + eps max(1, |f|) and sigma
+    phi'(0) <= phi'(1) <= (2 delta - 1) phi'(0), with phi'(0) = g.(x_p - x)
+    and phi'(1) = g_p.(x_p - x).  Failing along -H g, the row retries along
+    the scaled gradient, and failing there it has converged.  It also
+    converges when its projected gradient is at most tol max(1, |f|) or f
+    fell by less than that over its last _WINDOW steps, and stops
+    unconverged after ``max_evals`` evaluations, one per call it runs for.
+    The stop tests and the direction are computed for every row at each
+    call; a row in mid-search keeps the x, f, g and H its search started
+    from, so only the rows whose search ended can change them.  A row's path
+    depends on that row alone.  Returns the final rows, objectives,
+    convergence flags and evaluation counts.
     """
     n_par = x.shape[1]
     diag = np.arange(n_par)
     x = np.clip(x, lo, hi)
-    f, g = fun(x)
+    f, g = (a.copy() for a in fun(x))  # updated in place
     out = [x.copy(), f.copy(), np.zeros(f.size, dtype=bool), np.ones(f.size, dtype=np.int64)]
-    # the rows still running, in row order
-    row, evals, converged = np.arange(f.size), out[3].copy(), out[2].copy()
+    # the rows still running, in row order; each call evaluates them all
+    row, calls, converged = np.arange(f.size), 1, out[2].copy()
     h_inv = np.zeros((f.size, n_par, n_par))
     fresh = np.ones(f.size, dtype=bool)  # no H: step along the scaled gradient
     gamma = np.full(f.size, math.nan)  # latest s.y / y.y
     held = _held(x, g, lo, hi)
     recent = np.full((f.size, _WINDOW + 1), math.inf)  # f over the last steps
     recent[:, -1] = f
+    scale = np.ones(f.size)  # 0.5**(halvings so far) in each row's search
     while True:
         limit = tol * np.maximum(1.0, np.abs(f))
-        converged |= np.abs(np.clip(x - g, lo, hi) - x).max(axis=1) <= limit
+        converged |= np.maximum.reduce(np.abs(np.minimum(np.maximum(x - g, lo), hi) - x), axis=1) <= limit
         converged |= recent[:, 0] - f <= limit
-        done = converged | (evals >= max_evals) | ~np.isfinite(f)
+        done = converged | ~np.isfinite(f) | (calls >= max_evals)
         if done.any():
-            for dst, val in zip(out, (x, f, converged, evals)):
-                dst[row[done]] = val[done]
+            at = row[done]
+            out[0][at], out[1][at], out[2][at], out[3][at] = x[done], f[done], converged[done], calls
             if done.all():
                 return tuple(out)
-            state = (row, x, f, g, evals, converged, h_inv, fresh, gamma, held, recent, limit)
-            row, x, f, g, evals, converged, h_inv, fresh, gamma, held, recent, limit = (
-                a[~done] for a in state
-            )
+            state = (row, x, f, g, converged, h_inv, fresh, gamma, held, recent, scale, limit)
+            row, x, f, g, converged, h_inv, fresh, gamma, held, recent, scale, limit = (a[~done] for a in state)
 
         free = ~held
         g_free = g * free
-        step = -(h_inv * g_free[:, None, :]).sum(axis=2)
-        fresh |= (step * g_free).sum(axis=1) >= 0.0  # not a descent direction
-        scale = np.where(np.isnan(gamma), 1.0 / np.abs(g_free).max(axis=1), gamma)
-        step = np.where(fresh[:, None], -scale[:, None] * g_free, step)
+        step = -np.add.reduce(h_inv * g_free[:, None, :], axis=2)
+        gain = np.add.reduce(step * g_free, axis=1)
+        fresh |= gain >= 0.0  # not a descent direction
+        if fresh.any():
+            first = np.where(np.isnan(gamma), 1.0 / np.maximum.reduce(np.abs(g_free), axis=1), gamma)
+            step = np.where(fresh[:, None], -first[:, None] * g_free, step)
+            gain = np.add.reduce(step * g_free, axis=1)
         # the noise floor: the decrease -g.step predicts is at most
         # eps max(1, |f|) = limit eps / tol, below what f can resolve
-        floor = (step * g_free).sum(axis=1) * (-tol / _EPS) <= limit
+        floor = gain * (-tol / _EPS) <= limit
 
-        trial, f_t, g_t = x.copy(), f.copy(), g.copy()
-        good = np.zeros(row.size, dtype=bool)
-        pending = np.arange(row.size)
-        for halving in range(_MAX_HALVINGS + 1):
-            x_p = np.clip(x[pending] + 0.5**halving * step[pending], lo, hi)
-            f_p, g_p = fun(x_p)
-            evals[pending] += 1
-            dx = x_p - x[pending]
-            slope = (dx * g[pending]).sum(axis=1)  # phi'(0)
-            ok = f_p <= f[pending] + _ARMIJO * slope
-            retry = ~ok & (evals[pending] < max_evals)
-            if halving == 0 and floor.any():  # one trial, tested on the derivative
-                end = (dx * g_p).sum(axis=1)  # phi'(1)
-                wolfe = (f_p <= f + limit * (_EPS / tol)) & (
-                    (_WOLFE_SIGMA * slope <= end) & (end <= (2.0 * _WOLFE_DELTA - 1.0) * slope)
-                )
-                ok = np.where(floor, wolfe, ok)
-                retry &= ~floor
-            moved = pending[ok]
-            trial[moved], f_t[moved], g_t[moved], good[moved] = x_p[ok], f_p[ok], g_p[ok], True
-            pending = pending[retry]
-            if pending.size == 0:
-                break
-        failed = ~good & (evals < max_evals)
+        x_p = np.minimum(np.maximum(x + scale[:, None] * step, lo), hi)
+        f_p, g_p = fun(x_p)
+        calls += 1
+        dx = x_p - x
+        slope = np.add.reduce(dx * g, axis=1)  # phi'(0)
+        good = f_p <= f + _ARMIJO * slope
+        last = scale <= 0.5**_MAX_HALVINGS  # the search's last trial
+        if floor.any():  # one trial, tested on the derivative
+            end = np.add.reduce(dx * g_p, axis=1)  # phi'(1)
+            wolfe = (f_p <= f + limit * (_EPS / tol)) & (
+                (_WOLFE_SIGMA * slope <= end) & (end <= (2.0 * _WOLFE_DELTA - 1.0) * slope)
+            )
+            good = np.where(floor, wolfe, good)
+            last |= floor
+        retry = ~good & (calls < max_evals)
+        failed = retry & last
+        retry ^= failed
         converged |= failed & fresh  # failed along the scaled gradient too
         fresh |= failed
+        scale = np.where(retry, 0.5 * scale, 1.0)
 
-        # BFGS update on the free parameters; a fresh row first gets gamma I
-        s, y = trial - x, (g_t - g) * free
-        sy, yy = (s * y).sum(axis=1), (y * y).sum(axis=1)
-        curved = good & (sy > 1e-12 * np.sqrt((s * s).sum(axis=1) * yy))
-        sy = np.where(curved, sy, 1.0)
-        gamma = np.where(curved, sy / np.where(curved, yy, 1.0), gamma)
-        h = np.where((curved & fresh)[:, None, None], 0.0, h_inv)
-        h[:, diag, diag] += np.where((curved & fresh)[:, None] & free, gamma[:, None], 0.0)
-        hy = (h * y[:, None, :]).sum(axis=2)
-        rho = 1.0 / sy
-        coef = rho * (1.0 + rho * (y * hy).sum(axis=1))
-        h += coef[:, None, None] * s[:, :, None] * s[:, None, :]
-        h -= rho[:, None, None] * (hy[:, :, None] * s[:, None, :] + s[:, :, None] * hy[:, None, :])
-        h_inv = np.where(curved[:, None, None], h, h_inv)
-        fresh &= ~curved
+        if good.any():
+            # BFGS update on the free parameters; a fresh row first gets gamma I
+            y = np.where(good[:, None], g_p - g, 0.0)
+            y *= free
+            sy, yy = np.add.reduce(dx * y, axis=1), np.add.reduce(y * y, axis=1)
+            curved = good & (sy > 1e-12 * np.sqrt(np.add.reduce(dx * dx, axis=1) * yy))
+            if curved.any():
+                sy = np.where(curved, sy, 1.0)
+                np.divide(sy, yy, out=gamma, where=curved)
+                h = h_inv.copy()
+                # no diagonal entry of H is -0.0, so the + 0.0 a reset adds to the other rows changes no bit
+                if (reset := curved & fresh).any():
+                    h[reset] = 0.0
+                    h[:, diag, diag] += np.where(reset[:, None] & free, gamma[:, None], 0.0)
+                hy = np.add.reduce(h * y[:, None, :], axis=2)
+                rho = 1.0 / sy
+                coef = rho * (1.0 + rho * np.add.reduce(y * hy, axis=1))
+                h += coef[:, None, None] * dx[:, :, None] * dx[:, None, :]
+                hs = hy[:, :, None] * dx[:, None, :]
+                hs = hs + hs.transpose(0, 2, 1)  # hy_i s_j + s_i hy_j
+                hs *= rho[:, None, None]
+                h -= hs
+                np.copyto(h_inv, h, where=curved[:, None, None])
+                fresh &= ~curved
 
-        x, g = np.where(good[:, None], trial, x), np.where(good[:, None], g_t, g)
-        f = np.where(good, f_t, f)
-        now_held = _held(x, g, lo, hi)
-        changed = now_held != held
-        h_inv *= ~(changed[:, :, None] | changed[:, None, :])
-        h_inv[:, diag, diag] += np.where(changed & ~now_held & ~fresh[:, None], gamma[:, None], 0.0)
-        held = now_held
-        recent = np.concatenate([recent[:, 1:], f[:, None]], axis=1)
+            np.copyto(x, x_p, where=good[:, None])
+            np.copyto(g, g_p, where=good[:, None])
+            np.copyto(f, f_p, where=good)
+            now_held = _held(x, g, lo, hi)
+            changed = now_held != held
+            if changed.any():
+                h_inv *= ~(changed[:, :, None] | changed[:, None, :])
+                h_inv[:, diag, diag] += np.where(changed & ~now_held & ~fresh[:, None], gamma[:, None], 0.0)
+                held = now_held
+        np.copyto(recent, np.concatenate([recent[:, 1:], f[:, None]], axis=1), where=~retry[:, None])
 
 
 def _check_start_array(starts: int, order: int) -> None:
@@ -530,7 +543,8 @@ def scan_orders(data: CountSample, max_order: int, config: FitConfig = FitConfig
     Per-order failures are recorded rather than raised as long as at
     least one order fits; AIC ties go to the smaller order.  The scan
     stops at the first order with more parameters than observations,
-    since every higher order has more still.
+    since every higher order has more still, and at the first degenerate
+    sample error, which depends on the data alone.
     """
     if max_order < 1:
         raise DomainError(f"max_order must be >= 1, got {max_order!r}")
@@ -542,7 +556,7 @@ def scan_orders(data: CountSample, max_order: int, config: FitConfig = FitConfig
             fits.append(fit_mixture(data, order, config))
         except (FitError, DegenerateDataError, ValidationError, DomainError) as exc:
             failures[order] = str(exc)
-            if n_params_for_order(order) > data.size:
+            if isinstance(exc, DegenerateDataError) or n_params_for_order(order) > data.size:
                 break
     if not fits:
         raise FitError(f"no order in 1..{max_order} produced a fit: {failures}")

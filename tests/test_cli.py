@@ -299,6 +299,17 @@ class TestFailureValues:
         assert load_report(out)["scan_failures"] == {"3": "sample size 5 is too small to fit 8 parameters"}
 
 
+    def test_scan_of_equal_values_stops_at_the_first_order(self, tmp_path):
+        # every order up to n / 3 once failed alike, and the error listed each
+        counts = tmp_path / "equal.counts"
+        counts.write_text("5\n" * 30_000)
+        argv = ["scan", str(counts), "--m-max", str(10**9), "--starts", "1", "--out", str(tmp_path / "r.json")]
+        code, err = _exit_of(argv)
+        msg = "all observations are identical; the mixture likelihood has no interior optimum"
+        assert code == 1
+        assert err == f"error: no order in 1..{10**9} produced a fit: {{1: '{msg}'}}\n"
+
+
 class TestCcdf:
     def test_columns(self, tmp_path):
         data = sample_mixture(unit_model(), 5000, seed=6)

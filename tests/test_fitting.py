@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -31,6 +32,8 @@ from lomaxmix import fitting
 from lomaxmix.fitting import _SLAB, _TALLY
 from lomaxmix.special import riemann_zeta
 
+import minimize_reference
+from conftest import random_mixture
 from memory import held_above, peak_above
 
 
@@ -39,6 +42,34 @@ def single(b, v):
 
 
 TRUTH_2 = MixtureModel.from_parameters([0.7, 0.3], [2.0, 20.0], [1.2, 3.0])
+
+# Two objectives at the noise floor, with the arguments of _minimize after fun.
+# The noisy bowl is 5e6 plus a steep bowl, and 3 in 4 points evaluate one
+# ulp high, as a long sum rounds.
+_BOWL_TOP, _BOWL_CURV = 5e6, 1e7 * np.array([1.0, 30.0])
+NOISY_BOWL_ARGS = (
+    0.3 + np.random.default_rng(0).normal(0.0, 0.5, (12, 2)), np.full(2, -5.0), np.full(2, 5.0), 1e-11, 50_000
+)
+
+
+def noisy_bowl(x):
+    u = x - 0.3
+    w = u[:, 0] - u[:, 1]
+    mixed = x.view(np.uint64).sum(axis=1) * np.uint64(0x9E3779B97F4A7C15)
+    noise = np.spacing(_BOWL_TOP) * (mixed >> np.uint64(62) != 0)
+    f = _BOWL_TOP + (_BOWL_CURV * (np.cosh(u) - 1.0)).sum(axis=1) + _BOWL_CURV[0] * w**4 + noise
+    return f, _BOWL_CURV * np.sinh(u) + 4.0 * _BOWL_CURV[0] * w[:, None] ** 3 * np.array([1.0, -1.0])
+
+
+# The plateau is flat at 4e6 with a tiny constant slope, and every point but
+# its start evaluates 8 ulps high.
+PLATEAU_TOP = 4e6
+PLATEAU_ARGS = (np.array([[0.5, -0.5]]), -np.ones(2), np.ones(2), 1e-20, 50)
+
+
+def plateau(x):
+    moved = (x != PLATEAU_ARGS[0]).any(axis=1)
+    return PLATEAU_TOP + 8.0 * np.spacing(PLATEAU_TOP) * moved, np.tile([1e-12, -2e-12], (x.shape[0], 1))
 
 
 class TestCountSample:
@@ -337,45 +368,26 @@ class TestFitter:
             assert more.log_likelihood >= fewer.log_likelihood
 
     def test_rows_at_the_noise_floor_reach_the_gradient_rule(self):
-        # f is 5e6 plus a steep bowl, and 3 in 4 points evaluate one ulp
-        # high, as a long sum rounds.  Near the optimum the decrease a step
-        # predicts is below eps |f|, so a decrease test compares rounding
-        # noise; the derivative does not.  Armijo backtracking alone stops 3
-        # of these 12 rows with a relative projected gradient up to 1.9e-9,
-        # and spends up to 64 evaluations on a row, 318 in all.
-        big, tol = 5e6, 1e-11
-        curv = 1e7 * np.array([1.0, 30.0])
-
-        def fun(x):
-            u = x - 0.3
-            w = u[:, 0] - u[:, 1]
-            mixed = x.view(np.uint64).sum(axis=1) * np.uint64(0x9E3779B97F4A7C15)
-            noise = np.spacing(big) * (mixed >> np.uint64(62) != 0)
-            f = big + (curv * (np.cosh(u) - 1.0)).sum(axis=1) + curv[0] * w**4 + noise
-            return f, curv * np.sinh(u) + 4.0 * curv[0] * w[:, None] ** 3 * np.array([1.0, -1.0])
-
-        x0 = 0.3 + np.random.default_rng(0).normal(0.0, 0.5, (12, 2))
-        lo, hi = np.full(2, -5.0), np.full(2, 5.0)
-        x, f, converged, evals = fitting._minimize(fun, x0, lo, hi, tol, 50_000)
-        g = fun(x)[1]
+        # Near the optimum of the noisy bowl the decrease a step predicts is
+        # below eps |f|, so a decrease test compares rounding noise; the
+        # derivative does not.  Armijo backtracking alone stops 3 of these
+        # 12 rows with a relative projected gradient up to 1.9e-9, and
+        # spends up to 64 evaluations on a row, 318 in all.
+        _, lo, hi, tol, _ = NOISY_BOWL_ARGS
+        x, f, converged, evals = fitting._minimize(noisy_bowl, *NOISY_BOWL_ARGS)
+        g = noisy_bowl(x)[1]
         assert converged.all()
         assert (np.abs(np.clip(x - g, lo, hi) - x).max(axis=1) <= tol * np.maximum(1.0, f)).all()
         assert evals.max() <= 25 and evals.sum() <= 250
 
     def test_a_row_at_the_noise_floor_takes_one_trial(self):
-        # the scaled-gradient step predicts a decrease of 2.5e-12, far below
-        # eps f, and every point but the start evaluates 8 ulps high: the
-        # trial fails its test, and a row that fails along the scaled
-        # gradient has converged, without halving the step (tol is below
-        # eps, so the gradient rule cannot end the row first)
-        big, start = 4e6, np.array([[0.5, -0.5]])
-
-        def fun(x):
-            moved = (x != start).any(axis=1)
-            return big + 8.0 * np.spacing(big) * moved, np.tile([1e-12, -2e-12], (x.shape[0], 1))
-
-        _, f, converged, evals = fitting._minimize(fun, start, -np.ones(2), np.ones(2), 1e-20, 50)
-        assert converged.tolist() == [True] and evals.tolist() == [2] and f[0] == big
+        # the scaled-gradient step of the plateau predicts a decrease of
+        # 2.5e-12, far below eps f, and every point but the start evaluates
+        # 8 ulps high: the trial fails its test, and a row that fails along
+        # the scaled gradient has converged, without halving the step (tol is
+        # below eps, so the gradient rule cannot end the row first)
+        _, f, converged, evals = fitting._minimize(plateau, *PLATEAU_ARGS)
+        assert converged.tolist() == [True] and evals.tolist() == [2] and f[0] == PLATEAU_TOP
 
     def test_evaluation_cap_is_per_start(self, data, monkeypatch):
         real = fitting._minimize
@@ -395,6 +407,76 @@ class TestFitter:
         monkeypatch.setattr(fitting, "_MAX_EVALS", budget)
         fit = fit_mixture(data, 2, FitConfig(starts=5))
         assert fit.converged and results[-1][3].max() < 50_000
+
+
+class TestSearchOracle:
+    """_minimize returns the bits of the lockstep search of tests/minimize_reference.py."""
+
+    @staticmethod
+    def same(fun, *args, search=fitting._minimize) -> bool:
+        got, want = search(fun, *args), minimize_reference.minimize(fun, *args)
+        return all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(
+        order=st.integers(1, 4),
+        size=st.integers(20, 1000),
+        starts=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_mixture_starts(self, order, size, starts, seed):
+        # a budget of 5,000 evaluations bounds the test's time; most rows converge first
+        rng = np.random.default_rng(seed)
+        data = CountSample(sample_mixture(random_mixture(rng), size, seed=seed))
+        ks, counts = data.ks.astype(float), data.counts.astype(float)
+        x0 = fitting._moment_start(ks, counts, order) + rng.normal(0.0, 0.7, (starts, 3 * order - 1))
+        fun = partial(fitting._objective, ks=ks, counts=counts)
+        assert self.same(fun, x0, *fitting._box(order), fitting._TOL, 5_000)
+
+    def test_noise_floor_objectives(self):
+        assert self.same(noisy_bowl, *NOISY_BOWL_ARGS)
+        assert self.same(plateau, *PLATEAU_ARGS)
+
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        """Each _minimize call of a fit is checked against the reference."""
+        real, seen = fitting._minimize, []
+
+        def both(fun, *args):
+            seen.append(self.same(fun, *args, search=real))
+            return real(fun, *args)
+
+        monkeypatch.setattr(fitting, "_minimize", both)
+        return seen
+
+    def test_power_law_row(self, checked):
+        fit_power_law(CountSample(sample_mixture(TRUTH_2, 3000, seed=5)))
+        assert checked == [True]
+
+    def test_budget_of_seven_evaluations(self, checked, monkeypatch):
+        monkeypatch.setattr(fitting, "_MAX_EVALS", 7)
+        fit_mixture(CountSample(sample_mixture(TRUTH_2, 3000, seed=5)), 2, FitConfig(starts=5))
+        assert checked == [True]
+
+    def test_one_call_per_evaluation_of_the_longest_row(self, monkeypatch):
+        # each call evaluates every running row at its own trial point; in
+        # lockstep each halving was a call of its own, for the rows still searching
+        real_objective, real_minimize = fitting._objective, fitting._minimize
+        rows, results = [], []
+
+        def counted(theta, ks, counts):
+            rows.append(theta.shape[0])
+            return real_objective(theta, ks, counts)
+
+        def recorder(*args):
+            results.append(real_minimize(*args))
+            return results[-1]
+
+        monkeypatch.setattr(fitting, "_objective", counted)
+        monkeypatch.setattr(fitting, "_minimize", recorder)
+        fit_mixture(CountSample(sample_mixture(TRUTH_2, 3000, seed=5)), 3, FitConfig())
+        ((_, _, _, evals),) = results
+        assert len(rows) == evals.max() and sum(rows) == evals.sum()
 
 
 class TestScanOrders:
