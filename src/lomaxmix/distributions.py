@@ -236,23 +236,25 @@ def _log_survival_terms(b, k: np.ndarray, z=None, s=None) -> np.ndarray:
     return np.log1p(z, out=z if s is None else s)
 
 
-def _component_terms(b, v, k: np.ndarray, out=None):
+def _component_terms(b, v, k: np.ndarray, out=None, w=None):
     """s, t and v t of each component, shaped b.shape + (K,).
 
     s = log1p((k - 1) / b) and t = log1p(-1 / (k + b)), so the survival is
     exp(-v s), the step to the next survival is -expm1(v t) and the mass is
-    their product.  b and v are (M,) for one model or (S, M) for S models.
+    their product.  With widths ``w`` (K,), t = log1p(-w / (k - 1 + w + b))
+    and the step goes to the survival at k + w: the mass of [k, k + w).
+    b and v are (M,) for one model or (S, M) for S models.
     Each operation writes into its operand: fresh (M, K) temporaries past
     malloc's mmap threshold fault in page by page, which made a 14k-value
     objective 1.5x slower.  In place rounds the same, bit for bit.  ``out``
     is None or five arrays of that shape for (k - 1) / b, s, k + b, t and
     v t: a caller that needs the quotient and the sum again allocates them
-    once and reads them back.
+    once and reads them back (with ``w``, k - 1 + w + b in place of k + b).
     """
     z, s, kb, t, vt = out or (None,) * 5
     s = _log_survival_terms(b, k, z, s)
-    kb = np.add(k, b[..., None], out=kb)
-    t = np.divide(-1.0, kb, out=kb if t is None else t)
+    kb = np.add(k if w is None else k - 1.0 + w, b[..., None], out=kb)
+    t = np.divide(-1.0 if w is None else -w, kb, out=kb if t is None else t)
     np.log1p(t, out=t)
     return s, t, np.multiply(t, v[..., None], out=vt)
 

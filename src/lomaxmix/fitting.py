@@ -69,6 +69,9 @@ _MAX_EVALS = 50_000  # evaluations of the objective and its gradient per start
 # _SLAB values at a time, and sorts only the rest
 _TALLY = 2**16
 _SLAB = 2**14
+# The grouped form that screens a large sample's starts: values up to _GROUP_FROM,
+# then intervals 0.5% wide, with their edges at each of _PHASES (see _grouped)
+_GROUP_FROM, _GROUP_RATIO, _PHASES = 256, 1.005, (0.0, 0.5)
 # the most int64 or float64 values numpy holds in one array: its byte size must fit intp
 _MAX_SIZE = np.iinfo(np.intp).max // np.dtype(np.int64).itemsize
 
@@ -132,9 +135,9 @@ class CountSample:
 class FitConfig:
     """Knobs of the multi-start quasi-Newton search.
 
-    ``starts`` starts are drawn from ``seed`` and searched together.  Every
-    fit stops on the rules of ``_minimize``, with tol = ``_TOL`` and
-    max_evals = ``_MAX_EVALS``.
+    ``starts`` starts are drawn from ``seed`` and searched together (or the
+    first alone; see ``fit_mixture``).  Every fit stops on the rules of
+    ``_minimize``, with tol = ``_TOL`` and max_evals = ``_MAX_EVALS``.
     """
 
     starts: int = 20
@@ -222,23 +225,24 @@ def log_likelihood(model: MixtureModel, data: CountSample) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _weights_from_logits(logits: np.ndarray) -> np.ndarray:
-    """(S, M) stick-breaking weights of (S, M - 1) logits."""
-    frac = 1.0 / (1.0 + np.exp(-logits))
-    rest = 1.0 / (1.0 + np.exp(logits))  # 1 - frac without the cancellation
+def _weights_from_logits(logits: np.ndarray):
+    """(S, M) stick-breaking weights of (S, M - 1) logits, and the 1 + exp(-logit)
+    and 1 + exp(logit) they divide by, which the logit gradient divides by too."""
+    over = 1.0 + np.exp(-logits), 1.0 + np.exp(logits)
+    frac, rest = 1.0 / over[0], 1.0 / over[1]  # rest = 1 - frac without the cancellation
     c = np.empty((logits.shape[0], logits.shape[1] + 1))
     remaining = np.ones(logits.shape[0])
     for j in range(logits.shape[1]):
         c[:, j] = remaining * frac[:, j]
         remaining = remaining * rest[:, j]
     c[:, -1] = remaining
-    return c
+    return c, over
 
 
 def _unpack(theta: np.ndarray, order: int):
-    """(S, P) parameter rows to (S, M) weights, scales and shapes."""
-    c = _weights_from_logits(theta[:, : order - 1])
-    return c, np.exp(theta[:, order - 1 : 2 * order - 1]), np.exp(theta[:, 2 * order - 1 :])
+    """(S, P) parameter rows to (S, M) weights, scales, shapes and the weights' divisors."""
+    c, over = _weights_from_logits(theta[:, : order - 1])
+    return c, np.exp(theta[:, order - 1 : 2 * order - 1]), np.exp(theta[:, 2 * order - 1 :]), over
 
 
 def _box(order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -248,14 +252,17 @@ def _box(order: int) -> tuple[np.ndarray, np.ndarray]:
     return tuple(np.array(bounds).T)
 
 
-def _objective(theta: np.ndarray, ks: np.ndarray, counts: np.ndarray):
+def _objective(theta: np.ndarray, ks: np.ndarray, counts: np.ndarray, widths=None):
     """Negative log-likelihood of each row of theta (S, P), and its gradient.
 
     With s, t and v t from ``_component_terms``, D = -expm1(v t) and
     Q = e^{v t} / D, a component's log-mass is -v s + log D and
 
         d log p / d log v = -v (s + t Q),
-        d log p / d log b = v ((k - 1) / (k - 1 + b) - Q b / ((k - 1 + b)(k + b))).
+        d log p / d log b = v ((k - 1) / (k - 1 + b) - Q w b / ((k - 1 + b)(k - 1 + w + b))),
+
+    where row k holds the observations in [k, k + w): w is 1 when ``widths``
+    is None, and otherwise a grouped sample's interval width (_grouped).
 
     The mixture weights these by the responsibilities r; the logits of the
     stick-breaking weights take d f / d logit_j = -(R_j (1 - f_j) - f_j
@@ -265,7 +272,7 @@ def _objective(theta: np.ndarray, ks: np.ndarray, counts: np.ndarray):
     """
     rows, n_par = theta.shape
     order = (n_par + 1) // 3
-    c, b, v = _unpack(theta, order)
+    c, b, v, (over_frac, over_rest) = _unpack(theta, order)
     log_c = np.log(c)[:, :, None]
     neg_v = -v[:, :, None]
     nll = np.zeros(rows)
@@ -276,8 +283,9 @@ def _objective(theta: np.ndarray, ks: np.ndarray, counts: np.ndarray):
     bufs = np.empty((7, rows, order, min(ks.size, _BLOCK)))
     for lo in range(0, ks.size, _BLOCK):
         k, n = ks[lo : lo + _BLOCK], counts[lo : lo + _BLOCK]
+        w_k = None if widths is None else widths[lo : lo + _BLOCK]
         z, s, kb, t, d, q, logp = bufs[..., : k.size]
-        _component_terms(b, v, k, out=(z, s, kb, t, d))  # z = (k - 1) / b, kb = k + b
+        _component_terms(b, v, k, out=(z, s, kb, t, d), w=w_k)  # z = (k - 1) / b, kb = k - 1 + w + b
         np.exp(d, out=q)
         np.expm1(d, out=d)
         np.negative(d, out=d)  # D
@@ -300,17 +308,18 @@ def _objective(theta: np.ndarray, ks: np.ndarray, counts: np.ndarray):
         t *= q
         t += s  # s + t Q
         grad_v += np.multiply(t, w, out=t).sum(axis=2)
-        # (k - 1)/(k - 1 + b) - Q b/((k - 1 + b)(k + b)) = (z - Q / (k + b)) / (1 + z)
+        # (k - 1)/(k - 1 + b) - Q w b/((k - 1 + b) kb) = (z - Q w / kb) / (1 + z)
         q /= kb
+        if w_k is not None:
+            q *= w_k
         np.subtract(z, q, out=q)
         z += 1.0
         q /= z
         grad_b += np.multiply(q, w, out=q).sum(axis=2)
     grad = np.empty_like(theta)
     if order > 1:
-        logits = theta[:, : order - 1]
         later = np.cumsum(resp[:, :0:-1], axis=1)[:, ::-1]  # sum over i > j of R_i
-        grad[:, : order - 1] = later / (1 + np.exp(-logits)) - resp[:, :-1] / (1 + np.exp(logits))
+        grad[:, : order - 1] = later / over_frac - resp[:, :-1] / over_rest
     grad[:, order - 1 : 2 * order - 1] = -v * grad_b
     grad[:, 2 * order - 1 :] = v * grad_v
     return nll, grad
@@ -483,6 +492,24 @@ def _minimize(fun, x, lo, hi, tol: float, max_evals: int):
         np.copyto(recent, np.concatenate([recent[:, 1:], f[:, None]], axis=1), where=~retry[:, None])
 
 
+def _grouped(ks: np.ndarray, counts: np.ndarray, phase: float = 0.0):
+    """The start, width and count of each non-empty interval of the sample.
+
+    Values up to _GROUP_FROM are intervals of width 1; the larger ones pool
+    into [e_j, e_j+1), e_0 = _GROUP_FROM + 1 and e_j = floor(e_0
+    _GROUP_RATIO^(j + phase)).  A heavy tail of K distinct values keeps at
+    most _GROUP_FROM + log(max k / e_0) / log(_GROUP_RATIO) + 1 of them.
+    """
+    big = int(np.searchsorted(ks, _GROUP_FROM, side="right"))
+    n_edges = max(2, math.ceil(math.log(ks[-1] / (_GROUP_FROM + 1)) / math.log(_GROUP_RATIO)) + 2)
+    edges = np.floor((_GROUP_FROM + 1) * _GROUP_RATIO ** (np.arange(n_edges) + phase))
+    edges[0] = _GROUP_FROM + 1
+    pooled = np.bincount(np.searchsorted(edges, ks[big:], side="right") - 1, weights=counts[big:])
+    used = np.flatnonzero(pooled)
+    widths = np.concatenate([np.ones(big), np.diff(edges)[used]])
+    return np.concatenate([ks[:big], edges[used]]), widths, np.concatenate([counts[:big], pooled[used]])
+
+
 def _check_start_array(starts: int, order: int) -> None:
     """Refuse a start array of starts x (3M - 1) values that numpy cannot hold."""
     if starts > _MAX_SIZE // (n_free := n_params_for_order(order)):
@@ -492,9 +519,11 @@ def _check_start_array(starts: int, order: int) -> None:
 def fit_mixture(data: CountSample, order: int, config: FitConfig = FitConfig()) -> FitResult:
     """Maximum-likelihood fit of an ``order``-component mixture.
 
-    Returns the best local optimum over ``config.starts`` starts; the
-    fitted log-likelihood is never below the likelihood at any start's
-    initial point.  Deterministic for a given (data, order, config).
+    Returns the best local optimum over ``config.starts`` starts.  When every
+    start converges to one value on the sample's grouped form, the first
+    start's optimum stands for them all (see the screen below).  The fitted
+    log-likelihood is never below that at the first start's initial point.
+    Deterministic for a given (data, order, config).
     """
     if order < 1:
         raise DomainError(f"order must be >= 1, got {order!r}")
@@ -516,13 +545,24 @@ def fit_mixture(data: CountSample, order: int, config: FitConfig = FitConfig()) 
     starts = theta0 + np.vstack(
         [np.zeros(theta0.size), rng.normal(0.0, _LOG_JITTER, (config.starts - 1, theta0.size))]
     )
+    # Screen on a grouped form at most 1/4 the size: starts that reach one value there at
+    # each phase of the interval edges share a basin, and the full sample needs one of them.
+    if config.starts > 1 and 4 * _grouped(ks, counts)[0].size <= ks.size:
+        for phase in _PHASES:
+            g_ks, g_widths, g_counts = _grouped(ks, counts, phase)
+            fun = partial(_objective, ks=g_ks, counts=g_counts, widths=g_widths)
+            _, f, done, _ = _minimize(fun, starts, *_box(order), _TOL, _MAX_EVALS)
+            if not done.all() or f.max() - f.min() > _TOL * max(1.0, abs(f.min())):
+                break
+        else:
+            starts = starts[:1]
     fun = partial(_objective, ks=ks, counts=counts)
     x, f, converged, _ = _minimize(fun, starts, *_box(order), _TOL, _MAX_EVALS)
     best = int(np.argmin(np.where(np.isfinite(f), f, np.inf)))  # the first minimum
     if not np.isfinite(f[best]):
         raise FitError(f"no start produced a usable optimum for order {order}")
 
-    c, b, v = _unpack(x[best : best + 1], order)
+    c, b, v, _ = _unpack(x[best : best + 1], order)
     model = MixtureModel.from_parameters(
         c[0] / c[0].sum(), np.clip(b[0], *SCALE_BOUNDS), np.clip(v[0], *SHAPE_BOUNDS)
     )

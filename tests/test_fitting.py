@@ -24,6 +24,7 @@ from lomaxmix import (
     fit_power_law,
     log_likelihood,
     mixture_log_pmf,
+    mixture_pmf,
     n_params_for_order,
     sample_mixture,
     scan_orders,
@@ -42,6 +43,7 @@ def single(b, v):
 
 
 TRUTH_2 = MixtureModel.from_parameters([0.7, 0.3], [2.0, 20.0], [1.2, 3.0])
+WIDE = MixtureModel.from_parameters([0.7, 0.3], [5.0, 500.0], [0.9, 1.3])
 
 # Two objectives at the noise floor, with the arguments of _minimize after fun.
 # The noisy bowl is 5e6 plus a steep bowl, and 3 in 4 points evaluate one
@@ -309,31 +311,60 @@ class TestFitter:
         theta = fitting._moment_start(ks, counts, order) + rng.normal(0.0, 0.5, (n, 3 * order - 1))
         return theta, ks, counts
 
-    @pytest.mark.parametrize("order", [1, 2, 3, 4])
-    def test_gradient_matches_central_differences(self, data, order):
+    def gradient_matches_central_differences(self, data, order, widths=None):
         theta, ks, counts = self.rows(data, order, 3, order)
         if order == 3:  # the last component at the shape bound
             theta[1, -1] = math.log(fitting.SHAPE_BOUNDS[1])
-        _, grad = fitting._objective(theta, ks, counts)
+        objective = partial(fitting._objective, ks=ks, counts=counts, widths=widths)
+        _, grad = objective(theta)
         step = 1e-5
         numeric = np.empty_like(grad)
         for j in range(theta.shape[1]):
             up, down = theta.copy(), theta.copy()
             up[:, j] += step
             down[:, j] -= step
-            numeric[:, j] = (
-                fitting._objective(up, ks, counts)[0] - fitting._objective(down, ks, counts)[0]
-            ) / (2.0 * step)
+            numeric[:, j] = (objective(up)[0] - objective(down)[0]) / (2.0 * step)
         for g, fd in zip(grad, numeric):
             assert np.abs(g - fd).max() <= 1e-6 * np.abs(g).max()
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_gradient_matches_central_differences(self, data, order):
+        self.gradient_matches_central_differences(data, order)
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_interval_gradient_matches_central_differences(self, data, order):
+        widths = np.random.default_rng(order).integers(1, 40, data.ks.size).astype(float)
+        self.gradient_matches_central_differences(data, order, widths)
 
     def test_objective_is_the_log_likelihood(self, data):
         theta, ks, counts = self.rows(data, 3, 4, 0)
         nll, _ = fitting._objective(theta, ks, counts)
-        c, b, v = fitting._unpack(theta, 3)
+        c, b, v, _ = fitting._unpack(theta, 3)
         for i in range(theta.shape[0]):
             model = MixtureModel.from_parameters(c[i] / c[i].sum(), b[i], v[i])
             np.testing.assert_allclose(-nll[i], log_likelihood(model, data), rtol=1e-12)
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_unit_widths_are_the_distinct_values(self, order):
+        # over three slabs of _BLOCK values
+        rng = np.random.default_rng(order)
+        ks = np.unique(rng.integers(1, 10**6, size=3 * fitting._BLOCK)).astype(float)
+        counts = rng.integers(1, 50, size=ks.size).astype(float)
+        theta = rng.normal(0.0, 1.5, (6, 3 * order - 1))
+        values = fitting._objective(theta, ks, counts)
+        intervals = fitting._objective(theta, ks, counts, np.ones_like(ks))
+        assert all(np.array_equal(a, b) for a, b in zip(values, intervals))
+
+    def test_an_interval_scores_the_mass_of_its_values(self):
+        starts, widths = np.array([1.0, 3.0, 10.0, 11.0, 300.0]), np.array([2.0, 7.0, 1.0, 13.0, 6.0])
+        counts = np.array([3.0, 1.0, 2.0, 5.0, 4.0])
+        theta = np.random.default_rng(5).normal(0.0, 1.0, (4, 8))  # order 3
+        nll, _ = fitting._objective(theta, starts, counts, widths)
+        c, b, v, _ = fitting._unpack(theta, 3)
+        for i in range(theta.shape[0]):
+            model = MixtureModel.from_parameters(c[i] / c[i].sum(), b[i], v[i])
+            mass = [mixture_pmf(model, np.arange(k, k + w)).sum() for k, w in zip(starts, widths)]
+            np.testing.assert_allclose(nll[i], -np.dot(counts, np.log(mass)), rtol=1e-12)
 
     @pytest.mark.parametrize("n_distinct", [300, 2 * fitting._BLOCK + 77])
     def test_rows_do_not_depend_on_their_batch(self, n_distinct):
@@ -477,6 +508,72 @@ class TestSearchOracle:
         fit_mixture(CountSample(sample_mixture(TRUTH_2, 3000, seed=5)), 3, FitConfig())
         ((_, _, _, evals),) = results
         assert len(rows) == evals.max() and sum(rows) == evals.sum()
+
+
+class TestScreen:
+    """A large sample's starts are screened on its grouped form."""
+
+    @pytest.fixture(scope="class")
+    def wide(self):
+        # 6,894 distinct values, 1,413 and 1,420 grouped at the two phases
+        return CountSample(sample_mixture(WIDE, 2 * 10**5, seed=0))
+
+    @pytest.fixture
+    def searches(self, monkeypatch):
+        """Each _minimize call of a fit: its start rows, whether its sample was grouped, its result."""
+        real, calls = fitting._minimize, []
+
+        def recorder(fun, x, *args):
+            calls.append((x, "widths" in fun.keywords, real(fun, x, *args)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(fitting, "_minimize", recorder)
+        return calls
+
+    @staticmethod
+    def shapes(calls):
+        return [(x.shape[0], grouped) for x, grouped, _ in calls]
+
+    @pytest.mark.parametrize("phase", fitting._PHASES)
+    def test_grouped_form_pools_each_value_into_one_interval(self, wide, phase):
+        ks, counts = wide.ks.astype(float), wide.counts.astype(float)
+        starts, widths, pooled = fitting._grouped(ks, counts, phase)
+        kept = int((ks <= fitting._GROUP_FROM).sum())
+        assert np.array_equal(starts[:kept], ks[:kept]) and (widths[:kept] == 1.0).all()
+        assert (starts[1:] >= starts[:-1] + widths[:-1]).all()
+        assert (widths <= np.maximum(1.0, starts * (fitting._GROUP_RATIO - 1.0) + 1.0)).all()
+        at = np.searchsorted(starts, ks, side="right") - 1  # the interval each value falls in
+        assert (ks < starts[at] + widths[at]).all()
+        assert np.array_equal(np.bincount(at, weights=counts), pooled) and pooled.all()
+
+    def test_agreeing_starts_search_the_full_sample_once(self, wide, searches):
+        fit = fit_mixture(wide, 2, FitConfig())
+        assert self.shapes(searches) == [(20, True), (20, True), (1, False)]
+        starts, (_, _, row) = searches[0][0], searches[2]
+        ks, counts = wide.ks.astype(float), wide.counts.astype(float)
+        full = partial(fitting._objective, ks=ks, counts=counts)
+        every = fitting._minimize(full, starts, *fitting._box(2), fitting._TOL, fitting._MAX_EVALS)
+        assert all(np.array_equal(a, b[:1]) for a, b in zip(row, every))  # the search of row 0
+        best = int(np.argmin(every[1]))
+        c, b, v, _ = fitting._unpack(every[0][best : best + 1], 2)
+        best_ll = log_likelihood(MixtureModel.from_parameters(c[0] / c[0].sum(), b[0], v[0]), wide)
+        assert abs(fit.log_likelihood - best_ll) <= 8 * np.spacing(abs(best_ll))
+        assert fit.converged and fit.sample_size == wide.size
+
+    def test_disagreeing_starts_search_the_full_sample_from_all(self, wide, searches):
+        fit_mixture(wide, 3, FitConfig())
+        assert self.shapes(searches) == [(20, True), (20, False)]
+        # the full search runs from the very rows an unscreened fit searches from
+        assert np.array_equal(searches[1][0], searches[0][0])
+
+    def test_a_bench_sized_sample_is_not_screened(self, searches):
+        # 412 distinct values, 395 grouped: more than a quarter of them
+        fit_mixture(CountSample(sample_mixture(TRUTH_2, 10**5, seed=0)), 2, FitConfig())
+        assert self.shapes(searches) == [(20, False)]
+
+    def test_one_start_is_not_screened(self, wide, searches):
+        fit_mixture(wide, 2, FitConfig(starts=1))
+        assert self.shapes(searches) == [(1, False)]
 
 
 class TestScanOrders:
