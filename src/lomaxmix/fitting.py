@@ -69,9 +69,8 @@ _MAX_EVALS = 50_000  # evaluations of the objective and its gradient per start
 # _SLAB values at a time, and sorts only the rest
 _TALLY = 2**16
 _SLAB = 2**14
-# The grouped form that screens a large sample's starts: values up to _GROUP_FROM,
-# then intervals 0.5% wide, with their edges at each of _PHASES (see _grouped)
-_GROUP_FROM, _GROUP_RATIO, _PHASES = 256, 1.005, (0.0, 0.5)
+# a large sample's starts are screened on its values up to _GROUP_FROM, then intervals 0.5% wide
+_GROUP_FROM, _GROUP_RATIO = 256, 1.005
 # the most int64 or float64 values numpy holds in one array: its byte size must fit intp
 _MAX_SIZE = np.iinfo(np.intp).max // np.dtype(np.int64).itemsize
 
@@ -240,9 +239,9 @@ def _weights_from_logits(logits: np.ndarray):
 
 
 def _unpack(theta: np.ndarray, order: int):
-    """(S, P) parameter rows to (S, M) weights, scales, shapes and the weights' divisors."""
-    c, over = _weights_from_logits(theta[:, : order - 1])
-    return c, np.exp(theta[:, order - 1 : 2 * order - 1]), np.exp(theta[:, 2 * order - 1 :]), over
+    """(S, P) parameter rows to (S, M) weights, scales and shapes."""
+    c = _weights_from_logits(theta[:, : order - 1])[0]
+    return c, np.exp(theta[:, order - 1 : 2 * order - 1]), np.exp(theta[:, 2 * order - 1 :])
 
 
 def _box(order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -272,7 +271,8 @@ def _objective(theta: np.ndarray, ks: np.ndarray, counts: np.ndarray, widths=Non
     """
     rows, n_par = theta.shape
     order = (n_par + 1) // 3
-    c, b, v, (over_frac, over_rest) = _unpack(theta, order)
+    c, (over_frac, over_rest) = _weights_from_logits(theta[:, : order - 1])
+    b, v = np.exp(theta[:, order - 1 : 2 * order - 1]), np.exp(theta[:, 2 * order - 1 :])
     log_c = np.log(c)[:, :, None]
     neg_v = -v[:, :, None]
     nll = np.zeros(rows)
@@ -308,7 +308,7 @@ def _objective(theta: np.ndarray, ks: np.ndarray, counts: np.ndarray, widths=Non
         t *= q
         t += s  # s + t Q
         grad_v += np.multiply(t, w, out=t).sum(axis=2)
-        # (k - 1)/(k - 1 + b) - Q w b/((k - 1 + b) kb) = (z - Q w / kb) / (1 + z)
+        # (k - 1)/(k - 1 + b) - Q w_k b/((k - 1 + b) kb) = (z - Q w_k / kb) / (1 + z)
         q /= kb
         if w_k is not None:
             q *= w_k
@@ -492,18 +492,17 @@ def _minimize(fun, x, lo, hi, tol: float, max_evals: int):
         np.copyto(recent, np.concatenate([recent[:, 1:], f[:, None]], axis=1), where=~retry[:, None])
 
 
-def _grouped(ks: np.ndarray, counts: np.ndarray, phase: float = 0.0):
+def _grouped(ks: np.ndarray, counts: np.ndarray):
     """The start, width and count of each non-empty interval of the sample.
 
     Values up to _GROUP_FROM are intervals of width 1; the larger ones pool
-    into [e_j, e_j+1), e_0 = _GROUP_FROM + 1 and e_j = floor(e_0
-    _GROUP_RATIO^(j + phase)).  A heavy tail of K distinct values keeps at
-    most _GROUP_FROM + log(max k / e_0) / log(_GROUP_RATIO) + 1 of them.
+    into [e_j, e_j+1), e_j = floor((_GROUP_FROM + 1) _GROUP_RATIO^j).  A heavy
+    tail of K distinct values keeps at most _GROUP_FROM + log(max k / e_0) /
+    log(_GROUP_RATIO) + 1 of them.
     """
     big = int(np.searchsorted(ks, _GROUP_FROM, side="right"))
     n_edges = max(2, math.ceil(math.log(ks[-1] / (_GROUP_FROM + 1)) / math.log(_GROUP_RATIO)) + 2)
-    edges = np.floor((_GROUP_FROM + 1) * _GROUP_RATIO ** (np.arange(n_edges) + phase))
-    edges[0] = _GROUP_FROM + 1
+    edges = np.floor((_GROUP_FROM + 1) * _GROUP_RATIO ** np.arange(n_edges))
     pooled = np.bincount(np.searchsorted(edges, ks[big:], side="right") - 1, weights=counts[big:])
     used = np.flatnonzero(pooled)
     widths = np.concatenate([np.ones(big), np.diff(edges)[used]])
@@ -519,11 +518,11 @@ def _check_start_array(starts: int, order: int) -> None:
 def fit_mixture(data: CountSample, order: int, config: FitConfig = FitConfig()) -> FitResult:
     """Maximum-likelihood fit of an ``order``-component mixture.
 
-    Returns the best local optimum over ``config.starts`` starts.  When every
-    start converges to one value on the sample's grouped form, the first
-    start's optimum stands for them all (see the screen below).  The fitted
-    log-likelihood is never below that at the first start's initial point.
-    Deterministic for a given (data, order, config).
+    Returns the best local optimum over ``config.starts`` starts, or, when every
+    start converges to one value on the sample's grouped form, the first start's
+    optimum, which can miss a better one few starts reach (see the screen).
+    The fitted log-likelihood is never below that at the first start's initial
+    point.  Deterministic for a given (data, order, config).
     """
     if order < 1:
         raise DomainError(f"order must be >= 1, got {order!r}")
@@ -545,14 +544,15 @@ def fit_mixture(data: CountSample, order: int, config: FitConfig = FitConfig()) 
     starts = theta0 + np.vstack(
         [np.zeros(theta0.size), rng.normal(0.0, _LOG_JITTER, (config.starts - 1, theta0.size))]
     )
-    # Screen on a grouped form at most 1/4 the size: starts that reach one value there at
-    # each phase of the interval edges share a basin, and the full sample needs one of them.
-    if config.starts > 1 and 4 * _grouped(ks, counts)[0].size <= ks.size:
-        for phase in _PHASES:
-            g_ks, g_widths, g_counts = _grouped(ks, counts, phase)
-            fun = partial(_objective, ks=g_ks, counts=g_counts, widths=g_widths)
-            _, f, done, _ = _minimize(fun, starts, *_box(order), _TOL, _MAX_EVALS)
-            if not done.all() or f.max() - f.min() > _TOL * max(1.0, abs(f.min())):
+    # Screen on a grouped form at most 1/4 the size, two starts first (from M = 3 up they tend
+    # to disagree): when every start converges there to one value, search the first alone.
+    if config.starts > 1 and 4 * (grouped := _grouped(ks, counts))[0].size <= ks.size:
+        fun = partial(_objective, ks=grouped[0], widths=grouped[1], counts=grouped[2])
+        values = np.empty(0)  # of the starts searched so far; inf where one did not converge
+        for batch in (starts[:2], starts[2:]) if config.starts > 2 else (starts,):
+            _, f, done, _ = _minimize(fun, batch, *_box(order), _TOL, _MAX_EVALS)
+            values = np.concatenate([values, np.where(done, f, np.inf)])
+            if not np.isfinite(values).all() or np.ptp(values) > _TOL * max(1.0, abs(values.min())):
                 break
         else:
             starts = starts[:1]
@@ -562,7 +562,7 @@ def fit_mixture(data: CountSample, order: int, config: FitConfig = FitConfig()) 
     if not np.isfinite(f[best]):
         raise FitError(f"no start produced a usable optimum for order {order}")
 
-    c, b, v, _ = _unpack(x[best : best + 1], order)
+    c, b, v = _unpack(x[best : best + 1], order)
     model = MixtureModel.from_parameters(
         c[0] / c[0].sum(), np.clip(b[0], *SCALE_BOUNDS), np.clip(v[0], *SHAPE_BOUNDS)
     )

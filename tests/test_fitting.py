@@ -339,7 +339,7 @@ class TestFitter:
     def test_objective_is_the_log_likelihood(self, data):
         theta, ks, counts = self.rows(data, 3, 4, 0)
         nll, _ = fitting._objective(theta, ks, counts)
-        c, b, v, _ = fitting._unpack(theta, 3)
+        c, b, v = fitting._unpack(theta, 3)
         for i in range(theta.shape[0]):
             model = MixtureModel.from_parameters(c[i] / c[i].sum(), b[i], v[i])
             np.testing.assert_allclose(-nll[i], log_likelihood(model, data), rtol=1e-12)
@@ -360,7 +360,7 @@ class TestFitter:
         counts = np.array([3.0, 1.0, 2.0, 5.0, 4.0])
         theta = np.random.default_rng(5).normal(0.0, 1.0, (4, 8))  # order 3
         nll, _ = fitting._objective(theta, starts, counts, widths)
-        c, b, v, _ = fitting._unpack(theta, 3)
+        c, b, v = fitting._unpack(theta, 3)
         for i in range(theta.shape[0]):
             model = MixtureModel.from_parameters(c[i] / c[i].sum(), b[i], v[i])
             mass = [mixture_pmf(model, np.arange(k, k + w)).sum() for k, w in zip(starts, widths)]
@@ -515,7 +515,7 @@ class TestScreen:
 
     @pytest.fixture(scope="class")
     def wide(self):
-        # 6,894 distinct values, 1,413 and 1,420 grouped at the two phases
+        # 6,894 distinct values, 1,413 grouped
         return CountSample(sample_mixture(WIDE, 2 * 10**5, seed=0))
 
     @pytest.fixture
@@ -534,10 +534,9 @@ class TestScreen:
     def shapes(calls):
         return [(x.shape[0], grouped) for x, grouped, _ in calls]
 
-    @pytest.mark.parametrize("phase", fitting._PHASES)
-    def test_grouped_form_pools_each_value_into_one_interval(self, wide, phase):
+    def test_grouped_form_pools_each_value_into_one_interval(self, wide):
         ks, counts = wide.ks.astype(float), wide.counts.astype(float)
-        starts, widths, pooled = fitting._grouped(ks, counts, phase)
+        starts, widths, pooled = fitting._grouped(ks, counts)
         kept = int((ks <= fitting._GROUP_FROM).sum())
         assert np.array_equal(starts[:kept], ks[:kept]) and (widths[:kept] == 1.0).all()
         assert (starts[1:] >= starts[:-1] + widths[:-1]).all()
@@ -548,23 +547,35 @@ class TestScreen:
 
     def test_agreeing_starts_search_the_full_sample_once(self, wide, searches):
         fit = fit_mixture(wide, 2, FitConfig())
-        assert self.shapes(searches) == [(20, True), (20, True), (1, False)]
-        starts, (_, _, row) = searches[0][0], searches[2]
+        assert self.shapes(searches) == [(2, True), (18, True), (1, False)]
+        starts, (_, _, row) = np.vstack([searches[0][0], searches[1][0]]), searches[2]
         ks, counts = wide.ks.astype(float), wide.counts.astype(float)
         full = partial(fitting._objective, ks=ks, counts=counts)
         every = fitting._minimize(full, starts, *fitting._box(2), fitting._TOL, fitting._MAX_EVALS)
         assert all(np.array_equal(a, b[:1]) for a, b in zip(row, every))  # the search of row 0
         best = int(np.argmin(every[1]))
-        c, b, v, _ = fitting._unpack(every[0][best : best + 1], 2)
+        c, b, v = fitting._unpack(every[0][best : best + 1], 2)
         best_ll = log_likelihood(MixtureModel.from_parameters(c[0] / c[0].sum(), b[0], v[0]), wide)
         assert abs(fit.log_likelihood - best_ll) <= 8 * np.spacing(abs(best_ll))
         assert fit.converged and fit.sample_size == wide.size
 
     def test_disagreeing_starts_search_the_full_sample_from_all(self, wide, searches):
         fit_mixture(wide, 3, FitConfig())
-        assert self.shapes(searches) == [(20, True), (20, False)]
-        # the full search runs from the very rows an unscreened fit searches from
-        assert np.array_equal(searches[1][0], searches[0][0])
+        # the first two starts already end apart on the grouped form, so the other 18 are not searched there
+        assert self.shapes(searches) == [(2, True), (20, False)]
+        _, f, converged, _ = searches[0][2]
+        assert converged.all() and np.ptp(f) > fitting._TOL * f.min()
+        assert np.array_equal(searches[1][0][:2], searches[0][0])
+
+    def test_a_two_basin_sample_keeps_the_better_optimum(self, searches):
+        # 8,868 distinct values, 1,778 grouped: screened.  Some starts end in an
+        # optimum 18,000 nats below the best, so the first start alone would lose it.
+        model = MixtureModel.from_parameters([0.4, 0.6], [2.0, 200.0], [0.5, 1.1])
+        fit = fit_mixture(CountSample(sample_mixture(model, 2 * 10**5, seed=1)), 2, FitConfig())
+        assert self.shapes(searches) == [(2, True), (18, True), (20, False)]
+        f = searches[2][2][1]
+        assert f[0] - f.min() > 1e4
+        np.testing.assert_allclose(fit.log_likelihood, -f.min(), rtol=1e-12)
 
     def test_a_bench_sized_sample_is_not_screened(self, searches):
         # 412 distinct values, 395 grouped: more than a quarter of them
@@ -574,6 +585,10 @@ class TestScreen:
     def test_one_start_is_not_screened(self, wide, searches):
         fit_mixture(wide, 2, FitConfig(starts=1))
         assert self.shapes(searches) == [(1, False)]
+
+    def test_two_starts_are_screened_in_one_search(self, wide, searches):
+        fit_mixture(wide, 2, FitConfig(starts=2))
+        assert self.shapes(searches) == [(2, True), (1, False)]
 
 
 class TestScanOrders:
