@@ -143,7 +143,14 @@ def _print_scan_table(scan) -> None:
         print(f"{order:>3} failed: {msg}")
 
 
+def _check_alpha(alpha: float) -> None:
+    """Refuse the alphas ``chi_square_test`` refuses, before the sample is loaded and fitted."""
+    if not 0.0 < alpha < 1.0:
+        raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
+
+
 def cmd_scan(args) -> int:
+    _check_alpha(args.alpha)
     sample = _load_sample(args.counts)
     config = FitConfig(starts=args.starts, seed=args.seed)
     scan = scan_orders(sample, args.m_max, config)
@@ -151,6 +158,7 @@ def cmd_scan(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    _check_alpha(args.alpha)
     sample = _load_sample(args.counts)
     config = FitConfig(starts=args.starts, seed=args.seed)
     fit = fit_mixture(sample, args.m, config)

@@ -86,7 +86,8 @@ class CountSample:
     through this form.  The values are counted, not sorted: values below
     ``_TALLY`` go into a tally as long as the largest of them, and only a
     copy of the larger ones is sorted, so a heavy-tailed sample needs no
-    sorted copy of itself.
+    sorted copy of itself.  ``_from_tally`` takes such a tally and the
+    larger values as they are, so a loader need not hold the values whole.
     """
 
     ks: np.ndarray
@@ -106,6 +107,21 @@ class CountSample:
         for lo in range(0, values.size, _SLAB):
             slab = values[lo : lo + _SLAB]
             np.add.at(tally, slab[slab < _TALLY], 1)
+        self._hold(tally, rest)
+
+    @classmethod
+    def _from_tally(cls, tally: np.ndarray, rest: np.ndarray) -> CountSample:
+        """The sample of ``tally[v]`` observations of each value v >= 1 below
+        ``len(tally)`` and of the values ``rest``, none of them below it.
+
+        Both are int64 arrays; ``tally[0]`` is 0 and ``rest`` is sorted in place.
+        """
+        sample = object.__new__(cls)
+        sample._hold(tally, rest)
+        return sample
+
+    def _hold(self, tally: np.ndarray, rest: np.ndarray) -> None:
+        """Set ``ks`` and ``counts`` from a tally and the values not tallied, as in ``_from_tally``."""
         small = np.flatnonzero(tally)
         rest.sort()
         edges = np.empty(rest.size + 1, dtype=bool)  # where each run of equal values starts, and the end
@@ -115,7 +131,6 @@ class CountSample:
         ks = np.empty(small.size + edges.size - 1, dtype=np.int64)
         ks[: small.size] = small
         np.take(rest, edges[:-1], out=ks[small.size :], mode="clip")  # "raise" would buffer out
-        del rest
         counts = np.empty_like(ks)
         counts[: small.size] = tally[small]
         np.subtract(edges[1:], edges[:-1], out=counts[small.size :])

@@ -28,7 +28,7 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import DegenerateDataError, DomainError, InputFormatError
-from .fitting import CountSample
+from .fitting import _TALLY, CountSample
 
 __all__ = [
     "ReplyDelaySample",
@@ -523,28 +523,40 @@ def load_counts(source) -> CountLoadResult:
     they are tallied with line numbers and skipped.  A block in which
     every line is a count the row parser would take as it stands (see
     ``_block_counts``) is converted with numpy; any other block is parsed
-    row by row.
+    row by row.  Each block's counts below ``_TALLY`` are added to a tally
+    as long as the largest of them seen so far, and only the larger ones
+    are kept, so the file's values are never held whole.
     """
-    columns: list[np.ndarray] = []
+    tally = np.zeros(1, dtype=np.int64)  # tally[v]: the rows of count v so far
+    rest: list[np.ndarray] = [np.empty(0, dtype=np.int64)]  # the counts not tallied, per block
+    values = 0
     errors: list[tuple[int, str]] = []
     lineno = 0  # lines before the current block
     for data, starts, ends in _read_blocks(source):
         column = _block_counts(data, starts, ends)
         if column is None:
             column = _count_rows(_texts(data, starts, ends), lineno, errors)
-        if column.size and column.max() < 2**32:
-            column = column.astype(np.uint32)  # half the bytes until the blocks are joined
-        columns.append(column)
+        values += column.size
+        if column.max(initial=0) >= _TALLY:
+            rest.append(column[column >= _TALLY])
+            column = column[column < _TALLY]
+        top = int(column.max(initial=0))
+        if top >= tally.size:
+            # zeros, not np.append: the pages of the new tail stay unwritten until
+            # a count lands there, so a sparse tail costs no resident memory
+            grown = np.zeros(top + 1, dtype=np.int64)
+            grown[: tally.size] = tally
+            tally = grown
+        np.add.at(tally, column, 1)
+        del column  # not held while the next block is parsed, which raised the load's resident peak
         lineno += starts.size
-    rows = sum(column.size for column in columns) + len(errors)  # every row is a count or an error
+    rows = values + len(errors)  # every row is a count or an error
     if rows == 0:
         raise InputFormatError("count file contains no rows")
-    values = np.concatenate(columns, dtype=np.int64)
-    del columns
-    if not values.size:
+    if not values:
         raise DegenerateDataError(f"no usable counts out of {rows} rows")
     return CountLoadResult(
-        sample=CountSample(values),
+        sample=CountSample._from_tally(tally, np.concatenate(rest)),
         rows_read=rows,
         row_errors=tuple(errors),
     )

@@ -30,12 +30,22 @@ __all__ = [
 
 SCHEMA_VERSION = "lomaxmix/1"
 _JSON_PIECES = 4096  # encoder pieces joined per write
+_DIGEST_ROWS = 4096  # distinct values hashed per update
 
 
 def sample_digest(sample: CountSample) -> str:
-    """SHA-256 of the canonical distinct-value representation."""
-    payload = "\n".join(f"{k}:{c}" for k, c in zip(sample.ks.tolist(), sample.counts.tolist()))
-    return hashlib.sha256(payload.encode("ascii")).hexdigest()
+    """SHA-256 of the canonical distinct-value representation: a ``k:count``
+    line per distinct value, joined by line breaks.
+
+    The lines are hashed ``_DIGEST_ROWS`` at a time, so their text is never held whole.
+    """
+    digest = hashlib.sha256()
+    for lo in range(0, sample.ks.size, _DIGEST_ROWS):
+        rows = zip(sample.ks[lo : lo + _DIGEST_ROWS].tolist(), sample.counts[lo : lo + _DIGEST_ROWS].tolist())
+        if lo:
+            digest.update(b"\n")
+        digest.update("\n".join(f"{k}:{c}" for k, c in rows).encode("ascii"))
+    return digest.hexdigest()
 
 
 def model_to_dict(model: MixtureModel) -> list[dict]:

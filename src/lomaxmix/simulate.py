@@ -20,9 +20,14 @@ geometric counts draw theirs a chunk at a time.  A gamma round reads its
 radius, angle and acceptance uniforms at three places in the stream at
 once; Philox is counter-based, so ``_ahead`` reaches any offset without
 drawing the values before it.  The arithmetic runs in place on the
-chunk, and the geometric counts overwrite the rates they are drawn from:
-written on whole arrays, each step makes a new array the size of the
-draws, and those temporaries set the peak memory of a large call.
+chunk.  A component's gamma rates go straight into its slots of the
+int64 output, viewed as float64, as each chunk is accepted; then a slab
+of ``_SLAB`` output positions at a time, they are boosted, scaled and
+overwritten by their geometric counts, whose uniforms are read at their
+offset past the boost's.  So a call holds its output, the component
+index and a slab: written on whole arrays, each step makes a new array
+the size of the draws, and those temporaries set the peak memory of a
+large call.
 
 The squeeze test's x**4 is (x**2)**2, reusing the x**2 of the exact
 test: numpy's float power takes a scalar path for a negative base, about
@@ -49,6 +54,9 @@ _MAX_DRAW = np.nextafter(2.0**63, 0.0)
 # values per pass of the elementwise arithmetic: a gamma round holds about a
 # dozen temporaries of this length, 128 KiB each as float64
 _CHUNK = 16_384
+# output positions per slab of a component's slots: a slab's positions and rates
+# take 1 MiB, and smaller slabs cost time in numpy calls
+_SLAB = 65_536
 # doubles per Philox counter value: the bit generator makes its outputs four at a time
 _PHILOX_BLOCK = 4
 
@@ -85,19 +93,19 @@ def _ahead(rng: np.random.Generator, delta: int) -> np.random.Generator:
     return out
 
 
-def _gamma_at_least_one(rng: np.random.Generator, shape: float, size: int) -> np.ndarray:
-    """Marsaglia-Tsang rejection sampling, valid for shape >= 1.
+def _gamma_at_least_one(rng: np.random.Generator, shape: float, size: int):
+    """Marsaglia-Tsang rejection sampling, valid for shape >= 1: yields the
+    ``size`` variates in order, a chunk of accepted candidates at a time.
 
     A round of m candidates reads the stream as the whole-array sampler
     does: m Box-Muller normals from ``half`` = ceil(m / 2) radius and
     ``half`` angle uniforms, the cosines first and then the sines, and
     then m acceptance uniforms.  Each chunk of candidates draws its
     uniforms at their offsets into the round, and ``rng`` ends where the
-    whole round leaves it.
+    whole round leaves it once the generator is exhausted.
     """
     d = shape - 1.0 / 3.0
     c = 1.0 / math.sqrt(9.0 * d)
-    out = np.empty(size)
     filled = 0
     while filled < size:
         need = size - filled
@@ -137,23 +145,27 @@ def _gamma_at_least_one(rng: np.random.Generator, shape: float, size: int) -> np
                 rhs += x2
                 accept |= lhs < rhs
                 accept &= valid
-                got = v[accept]
-                take = min(got.size, size - filled)
-                np.multiply(got[:take], d, out=out[filled : filled + take])
-                filled += take
+                got = v[accept][: size - filled]
+                got *= d
+                filled += got.size
+                yield got
         rng.bit_generator.state = _ahead(rng, 2 * half + m).bit_generator.state
-    return out
+
+
+def _boost(rng: np.random.Generator, g: np.ndarray, shape: float) -> None:
+    """Multiply the Gamma(shape + 1) variates ``g`` by U^(1/shape) in place,
+    which makes them Gamma(shape), drawing U a chunk at a time."""
+    for lo in range(0, g.size, _CHUNK):
+        boost = _open_uniform(rng, min(_CHUNK, g.size - lo))
+        boost **= 1.0 / shape
+        g[lo : lo + _CHUNK] *= boost
 
 
 def _gamma_variates(rng: np.random.Generator, shape: float, size: int) -> np.ndarray:
-    if shape >= 1.0:
-        return _gamma_at_least_one(rng, shape, size)
-    # boost: Gamma(shape) = Gamma(shape + 1) * U^(1/shape)
-    g = _gamma_at_least_one(rng, shape + 1.0, size)
-    for lo in range(0, size, _CHUNK):
-        boost = _open_uniform(rng, min(_CHUNK, size - lo))
-        boost **= 1.0 / shape
-        g[lo : lo + _CHUNK] *= boost
+    """``size`` Gamma(shape) variates, the rates ``sample_mixture`` draws for a component before its scale."""
+    g = np.concatenate([np.empty(0), *_gamma_at_least_one(rng, shape + (shape < 1.0), size)])
+    if shape < 1.0:
+        _boost(rng, g, shape)
     return g
 
 
@@ -183,7 +195,9 @@ def sample_mixture(model: MixtureModel, n: int, seed: int = 0) -> np.ndarray:
     a component by weight, draw its gamma rate, then the geometric count
     given that rate.
 
-    Deterministic and reproducible for a given seed.
+    Deterministic and reproducible for a given seed.  Beside the output
+    it holds a byte per draw, the component index, and a slab's rates
+    and positions.
     """
     if not isinstance(model, MixtureModel):
         raise ValidationError("model must be a MixtureModel")
@@ -196,19 +210,48 @@ def sample_mixture(model: MixtureModel, n: int, seed: int = 0) -> np.ndarray:
     # the component index: how many of the first M - 1 cumulative weights are <= the uniform
     idx = np.zeros(n, dtype=np.min_scalar_type(model.order - 1))
     edges = np.cumsum(model._c)[:-1].tolist()
+    past = [n] + [0] * model.order  # the draws past each edge, from an edge at 0 to one at 1
     for lo in range(0, n, _CHUNK):
         pick = rng.random(min(_CHUNK, n - lo))
         part = idx[lo : lo + _CHUNK]
-        for edge in edges:
-            part += edge <= pick
+        for j, edge in enumerate(edges, start=1):
+            hit = edge <= pick
+            part += hit
+            past[j] += int(np.count_nonzero(hit))
     out = np.empty(n, dtype=np.int64)
+    rates = out.view(np.float64)  # a component's rates, in its slots until they become counts
     for i, comp in enumerate(model.components):
-        mask = idx == i
-        m = int(np.count_nonzero(mask))
+        m = past[i] - past[i + 1]
         if m == 0:
             continue
-        lam = _gamma_variates(rng, comp.shape, m)
-        lam /= comp.scale
-        out[mask] = _counts_from_rates(rng, lam, out=lam.view(np.int64))
-        del lam, mask  # before the next component's rates and mask are made
+        boost = comp.shape < 1.0
+        _scatter(_gamma_at_least_one(rng, comp.shape + boost, m), _slots(idx, i), rates)
+        geometric = _ahead(rng, m) if boost else rng  # its uniforms follow the boost's
+        for at in _slots(idx, i):
+            lam = rates[at]
+            if boost:
+                _boost(rng, lam, comp.shape)
+            lam /= comp.scale
+            out[at] = _counts_from_rates(geometric, lam, out=lam.view(np.int64))
+        rng = geometric
     return out
+
+
+def _slots(idx: np.ndarray, i: int):
+    """Yield the positions of component ``i`` in the index ``idx``, a slab of ``_SLAB`` positions at a time."""
+    for lo in range(0, idx.size, _SLAB):
+        at = np.flatnonzero(idx[lo : lo + _SLAB] == i)
+        at += lo
+        yield at
+
+
+def _scatter(chunks, slots, dest: np.ndarray) -> None:
+    """Write the values of ``chunks`` to ``dest`` at the positions ``slots`` yields, both in order."""
+    at = np.empty(0, dtype=np.intp)
+    for values in chunks:
+        while values.size:
+            if not at.size:
+                at = next(slots)
+            k = min(values.size, at.size)
+            dest[at[:k]] = values[:k]
+            at, values = at[k:], values[k:]

@@ -22,12 +22,20 @@ from lomaxmix import (
     sample_mixture,
     save_counts,
 )
-from lomaxmix import fitting
+from lomaxmix import cli, fitting
 from lomaxmix.cli import _TSV_ROWS, main
 from lomaxmix.fitting import ScanResult, n_params_for_order
 from lomaxmix.ingest import _READ_BLOCK
 from lomaxmix.distributions import SCALE_BOUNDS, SHAPE_BOUNDS, RankModel, rank_frequency
-from lomaxmix.report import SCHEMA_VERSION, build_report, load_report, model_from_dict, write_report
+from lomaxmix.report import (
+    _DIGEST_ROWS,
+    SCHEMA_VERSION,
+    build_report,
+    load_report,
+    model_from_dict,
+    sample_digest,
+    write_report,
+)
 from conftest import strip_timestamps
 from memory import peak_above
 from test_ingest import _LINE, _ROW, _TEXT
@@ -427,6 +435,17 @@ class TestWriteReport:
         assert peak < 2**20
 
 
+class TestSampleDigest:
+    def test_block_wise_digest_equals_the_one_string_formula(self):
+        # K spans ten blocks and a part; the one-string formula peaked at 4.5 MiB here, the blocks at 0.45
+        ks = np.arange(1, 10 * _DIGEST_ROWS + 8) * 7919
+        sample = CountSample(np.repeat(ks, np.arange(ks.size) % 3 + 1))
+        payload = "\n".join(f"{k}:{c}" for k, c in zip(sample.ks.tolist(), sample.counts.tolist()))
+        digest, peak = peak_above(sample_digest, sample)
+        assert digest == hashlib.sha256(payload.encode("ascii")).hexdigest()
+        assert peak < 2**20
+
+
 class TestSimulate:
     def test_golden_output(self, tmp_path):
         out = tmp_path / "sim.counts"
@@ -503,6 +522,21 @@ class TestMalformedInput:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("alpha", ["1.5", "0", "nan"])
+    @pytest.mark.parametrize("command", [["scan", "--m-max", "2"], ["fit", "--m", "2"]], ids=["scan", "fit"])
+    def test_bad_alpha_exit_2_before_any_fit(self, tmp_path, capsys, monkeypatch, command, alpha):
+        # the alpha was refused by chi_square_test, after every order had been fitted
+        def fit_started(*args, **kwargs):
+            raise AssertionError("a fit started")
+
+        monkeypatch.setattr(cli, "scan_orders", fit_started)
+        monkeypatch.setattr(cli, "fit_mixture", fit_started)
+        counts, out = tmp_path / "c.counts", tmp_path / "r.json"
+        save_counts(counts, sample_mixture(unit_model(), 1000, seed=13))
+        assert main([command[0], str(counts), *command[1:], "--alpha", alpha, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: alpha must lie in (0, 1), got {float(alpha)!r}\n"
+        assert not out.exists()
 
     def test_simulate_negative_seed_exit_2(self, tmp_path, capsys):
         argv = ["simulate", "--model", "1:1:1", "-n", "5", "--seed", "-1",

@@ -26,6 +26,7 @@ from lomaxmix import (
     save_counts,
 )
 from lomaxmix import ingest
+from lomaxmix.fitting import _TALLY
 from lomaxmix.ingest import _READ_BLOCK, _WRITE_BLOCK, write_delays
 
 # two answered conversations plus one message that never gets a reply
@@ -251,8 +252,9 @@ class TestMemory:
     """Peak memory per message of parsing and extraction (tracemalloc, outputs
     included), on a 1e5-row generated log.  Measured: parsing 34 bytes per
     row, of which the log's columns take 24; extraction 43 bytes per usable
-    message under first-response and 61 under exclusive.  Also the peak per
-    value of loading 1e6 counts."""
+    message under first-response and 61 under exclusive.  Also the peak of
+    loading counts, which follows the block and the distinct values, not
+    the file's length."""
 
     def test_parse_message_log_per_row(self, generated_log):
         log, peak = peak_above(parse_message_log, io.StringIO(generated_log))
@@ -260,12 +262,22 @@ class TestMemory:
         assert peak / log.rows_read < 45
 
     def test_load_counts_per_value(self, tmp_path):
-        # 12.4 bytes per value: the uint32 block columns and their int64 join (16.4 when the blocks were int64)
+        # 2.3 bytes per value (2.2 MiB) at K = 14,450: a block's parse and the tally
+        # (12.4 when the values were joined into one int64 array before the tally)
         path = tmp_path / "wide.counts"
         save_counts(path, sample_mixture(MixtureModel.from_parameters([0.7, 0.3], [5.0, 500.0], [0.9, 1.3]), 10**6, 0))
         loaded, peak = peak_above(load_counts, path)
         assert loaded.sample.size == 10**6
-        assert peak / loaded.sample.size < 14
+        assert peak / loaded.sample.size < 4
+
+    def test_load_counts_of_a_long_file_with_few_distinct_values(self, tmp_path):
+        # 2.3 MiB for 2e6 counts of 10 values, a block's parse; 23 MiB when the values were joined
+        path = tmp_path / "few.counts"
+        save_counts(path, np.tile(np.arange(1, 11), 200_000))
+        loaded, peak = peak_above(load_counts, path)
+        assert loaded.sample.ks.tolist() == list(range(1, 11))
+        assert loaded.sample.counts.tolist() == [200_000] * 10
+        assert peak < 4 * 2**20
 
     @pytest.mark.parametrize(("rule", "bound"), [("first-response", 55), ("exclusive", 75)])
     def test_extract_reply_delays_per_usable_message(self, generated_log, rule, bound):
@@ -556,6 +568,14 @@ class TestCountOracle:
         sources = _sources(kind, "12\n3,4", tmp_path_factory)
         assert _outcome(sources()) == _oracle_outcome(sources())
         assert _outcome(sources())[:2] == ([4, 12], [1, 1])
+
+    def test_tally_grows_across_blocks(self, tmp_path):
+        # each block holds a larger count than the blocks before it, below, at and past _TALLY
+        path = tmp_path / "growing.counts"
+        tops = [5, 300, _TALLY - 1, _TALLY, 2 * _TALLY, 7]
+        path.write_text("".join(f"{top}\n2\n" * (_READ_BLOCK // 8) for top in tops))
+        assert _outcome(path) == _oracle_outcome(path)
+        assert _outcome(path)[0] == sorted({2, *tops})
 
     @pytest.mark.parametrize("text", ["\ud800,5\n7\n", "u\udfff1,3\n\ud800\n", "5\n" * 3 + "\udc00"])
     def test_lone_surrogates_in_a_stream(self, text):

@@ -15,7 +15,7 @@ from lomaxmix import (
     chi_square_test,
     sample_mixture,
 )
-from lomaxmix.simulate import _CHUNK, _ahead, _counts_from_rates, _gamma_variates, _rng
+from lomaxmix.simulate import _CHUNK, _SLAB, _ahead, _counts_from_rates, _gamma_variates, _rng
 
 import mechanism
 import sampler_reference
@@ -96,12 +96,13 @@ class TestMixtureSampler:
         assert not np.array_equal(a, c)
 
     def test_peak_memory_of_a_million_draws(self):
-        # README: 1e6 draws from 0.7:5:0.9,0.3:500:1.3 peak at 17.0 MiB of numpy memory,
-        # 8.6 of them the output, the component index and one component's mask
+        # README: 1e6 draws from 0.7:5:0.9,0.3:500:1.3 peak at 11.2 MiB of numpy memory,
+        # 8.6 of them the output and the component index (17.0 with each component's
+        # rates and mask whole)
         model = MixtureModel.from_parameters([0.7, 0.3], [5.0, 500.0], [0.9, 1.3])
         draws, peak = peak_above(sample_mixture, model, 1_000_000, 0)
         assert draws.size == 1_000_000
-        assert peak < 22 * 2**20
+        assert peak < 13 * 2**20
 
     def test_golden_stream(self):
         model = MixtureModel.from_parameters([0.7, 0.3], [2.0, 20.0], [1.2, 3.0])
@@ -215,7 +216,8 @@ class TestStreamReference:
     )
     def test_sample_mixture(self, spec):
         model = MixtureModel.from_parameters(*spec)
-        for n, seed in [(1, 0), (_CHUNK + 1, 3), (200_000, 4)]:
+        sizes = [(1, 0), (_CHUNK + 1, 3), (_SLAB - 1, 5), (_SLAB + 1, 6), (3 * _SLAB, 7), (200_000, 4)]
+        for n, seed in sizes:
             want = sampler_reference.sample_values(model, n, _rng(seed))
             assert np.array_equal(sample_mixture(model, n, seed), want), (n, seed)
 
