@@ -43,10 +43,11 @@ from .fitting import (
     fit_power_law,
     scan_orders,
 )
-from .gof import chi_square_test, empirical_ccdf
+from .gof import _check_alpha, chi_square_test, empirical_ccdf
 from .ingest import (
     DEFAULT_DISCRETIZATION,
     REPLY_RULES,
+    _check_dt,
     discretize,
     extract_reply_delays,
     load_counts,
@@ -112,6 +113,7 @@ def _load_sample(path):
 
 
 def cmd_replies(args) -> int:
+    _check_dt(args.dt)
     log = parse_message_log(args.log, delimiter=args.delimiter, header=args.header)
     sample = extract_reply_delays(log, rule=args.rule, discretization=args.dt)
     counts = discretize(sample)
@@ -141,12 +143,6 @@ def _print_scan_table(scan) -> None:
         )
     for order, msg in sorted(scan.failures.items()):
         print(f"{order:>3} failed: {msg}")
-
-
-def _check_alpha(alpha: float) -> None:
-    """Refuse the alphas ``chi_square_test`` refuses, before the sample is loaded and fitted."""
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
 
 
 def cmd_scan(args) -> int:
@@ -206,7 +202,7 @@ def cmd_gof(args) -> int:
     report = load_report(args.report)
     model = model_from_dict(report["components"])
     n_params = args.n_params if args.n_params is not None else report.get("n_params")
-    if not isinstance(n_params, int):
+    if not isinstance(n_params, int) or isinstance(n_params, bool):
         raise InputFormatError("the report has no integer n_params; pass --n-params")
     gof_report = chi_square_test(model, sample, n_params, args.alpha)
     if args.out:

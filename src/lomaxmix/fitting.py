@@ -66,7 +66,7 @@ _WINDOW = 10  # steps over which a decrease below tol ends a start
 _TOL = 1e-11  # the relative stop tolerance of every fit; see _minimize
 _MAX_EVALS = 50_000  # evaluations of the objective and its gradient per start
 # CountSample tallies the values below _TALLY (a tally of at most 512 KiB),
-# _SLAB values at a time, and sorts only the rest
+# a block at a time (the constructor's blocks are _SLAB values), and sorts only the rest
 _TALLY = 2**16
 _SLAB = 2**14
 # a large sample's starts are screened on its values up to _GROUP_FROM, then intervals 0.5% wide
@@ -83,11 +83,12 @@ class CountSample:
     observation, and keeps ``ks``, the sorted distinct values, and
     ``counts``, their multiplicities: read-only int64 arrays that share
     no memory with ``values``.  The likelihood depends on a sample only
-    through this form.  The values are counted, not sorted: values below
-    ``_TALLY`` go into a tally as long as the largest of them, and only a
-    copy of the larger ones is sorted, so a heavy-tailed sample needs no
-    sorted copy of itself.  ``_from_tally`` takes such a tally and the
-    larger values as they are, so a loader need not hold the values whole.
+    through this form.  The values are counted, not sorted: a block of
+    values at a time, those below ``_TALLY`` go into a tally that grows to
+    the largest of them, and only the larger ones are kept and sorted, so
+    a heavy-tailed sample needs no sorted copy of itself.  The constructor
+    feeds ``_hold`` slabs of ``_SLAB`` values, and ``_from_blocks`` takes
+    the blocks of a loader, so a loader need not hold the values whole.
     """
 
     ks: np.ndarray
@@ -102,26 +103,33 @@ class CountSample:
         if (values.dtype.kind == "f" or values.dtype == np.uint64) and np.any(values >= 2**63):
             raise DomainError(f"sample values must be <= {2**63 - 1}")
         values = values.astype(np.int64, copy=False)
-        rest = values[values >= _TALLY]  # the values not tallied
-        tally = np.zeros(_TALLY if rest.size else int(values.max()) + 1, dtype=np.int64)
-        for lo in range(0, values.size, _SLAB):
-            slab = values[lo : lo + _SLAB]
-            np.add.at(tally, slab[slab < _TALLY], 1)
-        self._hold(tally, rest)
+        self._hold(values[lo : lo + _SLAB] for lo in range(0, values.size, _SLAB))
 
     @classmethod
-    def _from_tally(cls, tally: np.ndarray, rest: np.ndarray) -> CountSample:
-        """The sample of ``tally[v]`` observations of each value v >= 1 below
-        ``len(tally)`` and of the values ``rest``, none of them below it.
-
-        Both are int64 arrays; ``tally[0]`` is 0 and ``rest`` is sorted in place.
-        """
+    def _from_blocks(cls, blocks) -> CountSample:
+        """The sample of the values of ``blocks``, int64 arrays of values >= 1, read one block at a time."""
         sample = object.__new__(cls)
-        sample._hold(tally, rest)
+        sample._hold(blocks)
         return sample
 
-    def _hold(self, tally: np.ndarray, rest: np.ndarray) -> None:
-        """Set ``ks`` and ``counts`` from a tally and the values not tallied, as in ``_from_tally``."""
+    def _hold(self, blocks) -> None:
+        """Set ``ks`` and ``counts`` from the blocks of values, as in ``_from_blocks``."""
+        tally = np.zeros(1, dtype=np.int64)  # tally[v]: the values v so far
+        rest = [np.empty(0, dtype=np.int64)]  # the values not tallied, per block
+        for block in blocks:
+            if block.max(initial=0) >= _TALLY:
+                rest.append(block[block >= _TALLY])
+                block = block[block < _TALLY]
+            top = int(block.max(initial=0))
+            if top >= tally.size:
+                # zeros, not np.append: the pages of the new tail stay unwritten until
+                # a value lands there, so a sparse tail costs no resident memory
+                grown = np.zeros(top + 1, dtype=np.int64)
+                grown[: tally.size] = tally
+                tally = grown
+            np.add.at(tally, block, 1)
+            del block  # not held while the next block is made
+        rest = np.concatenate(rest)
         small = np.flatnonzero(tally)
         rest.sort()
         edges = np.empty(rest.size + 1, dtype=bool)  # where each run of equal values starts, and the end

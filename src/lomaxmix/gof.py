@@ -122,6 +122,12 @@ def _bin_edges(model: MixtureModel, n: float) -> tuple[list[int], list[float]]:
     return edges, survs
 
 
+def _check_alpha(alpha: float) -> None:
+    """Refuse a significance level outside (0, 1); the CLI calls this before it loads and fits a sample."""
+    if not 0.0 < alpha < 1.0:
+        raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
+
+
 def chi_square_test(
     model: MixtureModel,
     data: CountSample,
@@ -136,8 +142,7 @@ def chi_square_test(
     """
     if n_params < 0:
         raise DomainError(f"n_params must be >= 0, got {n_params!r}")
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
+    _check_alpha(alpha)
     ks, counts, n = data.ks, data.counts, data.size
     if n < _MIN_SAMPLE:
         raise ValidationError(f"need at least {_MIN_SAMPLE} observations, got {n}")

@@ -28,7 +28,7 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import DegenerateDataError, DomainError, InputFormatError
-from .fitting import _TALLY, CountSample
+from .fitting import CountSample
 
 __all__ = [
     "ReplyDelaySample",
@@ -63,6 +63,12 @@ _STRIPPED_FIRST[[0xC2, 0xE1, 0xE2, 0xE3]] = True
 _STRIPPED_LAST[[*range(0x80, 0x8B), 0x9F, 0xA0, 0xA8, 0xA9, 0xAF]] = True
 
 
+def _check_dt(dt: float) -> None:
+    """Refuse a discretization step that is not finite and > 0; the CLI calls this before it parses a log."""
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise DomainError(f"discretization dt must be finite and > 0, got {dt!r}")
+
+
 @dataclass(frozen=True)
 class ReplyDelaySample:
     """Reply delays in seconds plus extraction diagnostics."""
@@ -77,10 +83,7 @@ class ReplyDelaySample:
         d = np.asarray(self.delays, dtype=float)
         if np.any(d < 0.0) or not np.all(np.isfinite(d)):
             raise DomainError("delays must be finite and >= 0")
-        if not (math.isfinite(self.discretization) and self.discretization > 0.0):
-            raise DomainError(
-                f"discretization dt must be finite and > 0, got {self.discretization!r}"
-            )
+        _check_dt(self.discretization)
         object.__setattr__(self, "delays", d)
 
 
@@ -523,43 +526,29 @@ def load_counts(source) -> CountLoadResult:
     they are tallied with line numbers and skipped.  A block in which
     every line is a count the row parser would take as it stands (see
     ``_block_counts``) is converted with numpy; any other block is parsed
-    row by row.  Each block's counts below ``_TALLY`` are added to a tally
-    as long as the largest of them seen so far, and only the larger ones
-    are kept, so the file's values are never held whole.
+    row by row.  Each block's counts go to ``CountSample._from_blocks`` as
+    they are parsed, so the file's values are never held whole.
     """
-    tally = np.zeros(1, dtype=np.int64)  # tally[v]: the rows of count v so far
-    rest: list[np.ndarray] = [np.empty(0, dtype=np.int64)]  # the counts not tallied, per block
-    values = 0
     errors: list[tuple[int, str]] = []
+    sample = CountSample._from_blocks(_count_columns(source, errors))
+    rows = sample.size + len(errors)  # every row is a count or an error
+    if rows == 0:
+        raise InputFormatError("count file contains no rows")
+    if not sample.size:
+        raise DegenerateDataError(f"no usable counts out of {rows} rows")
+    return CountLoadResult(sample=sample, rows_read=rows, row_errors=tuple(errors))
+
+
+def _count_columns(source, errors: list[tuple[int, str]]):
+    """Yield the int64 counts of each block of ``source``, adding its row errors to ``errors``."""
     lineno = 0  # lines before the current block
     for data, starts, ends in _read_blocks(source):
         column = _block_counts(data, starts, ends)
         if column is None:
             column = _count_rows(_texts(data, starts, ends), lineno, errors)
-        values += column.size
-        if column.max(initial=0) >= _TALLY:
-            rest.append(column[column >= _TALLY])
-            column = column[column < _TALLY]
-        top = int(column.max(initial=0))
-        if top >= tally.size:
-            # zeros, not np.append: the pages of the new tail stay unwritten until
-            # a count lands there, so a sparse tail costs no resident memory
-            grown = np.zeros(top + 1, dtype=np.int64)
-            grown[: tally.size] = tally
-            tally = grown
-        np.add.at(tally, column, 1)
+        yield column
         del column  # not held while the next block is parsed, which raised the load's resident peak
         lineno += starts.size
-    rows = values + len(errors)  # every row is a count or an error
-    if rows == 0:
-        raise InputFormatError("count file contains no rows")
-    if not values:
-        raise DegenerateDataError(f"no usable counts out of {rows} rows")
-    return CountLoadResult(
-        sample=CountSample._from_tally(tally, np.concatenate(rest)),
-        rows_read=rows,
-        row_errors=tuple(errors),
-    )
 
 
 def _block_counts(data: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray | None:

@@ -161,21 +161,10 @@ def _boost(rng: np.random.Generator, g: np.ndarray, shape: float) -> None:
         g[lo : lo + _CHUNK] *= boost
 
 
-def _gamma_variates(rng: np.random.Generator, shape: float, size: int) -> np.ndarray:
-    """``size`` Gamma(shape) variates, the rates ``sample_mixture`` draws for a component before its scale."""
-    g = np.concatenate([np.empty(0), *_gamma_at_least_one(rng, shape + (shape < 1.0), size)])
-    if shape < 1.0:
-        _boost(rng, g, shape)
-    return g
-
-
-def _counts_from_rates(rng: np.random.Generator, lam: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The geometric count of each rate, written to the int64 array ``out`` (new by default).
-
-    ``out`` may be ``lam.view(np.int64)``: each chunk's counts overwrite
-    its rates once they are read.
-    """
-    counts = np.empty(lam.size, dtype=np.int64) if out is None else out
+def _counts_from_rates(rng: np.random.Generator, lam: np.ndarray) -> np.ndarray:
+    """The geometric count of each float64 rate of ``lam``, in ``lam.view(np.int64)``,
+    which it returns: each chunk's counts overwrite its rates once they are read."""
+    counts = lam.view(np.int64)
     with np.errstate(over="ignore", divide="ignore"):
         for lo in range(0, lam.size, _CHUNK):
             k = _open_uniform(rng, min(_CHUNK, lam.size - lo))
@@ -232,7 +221,7 @@ def sample_mixture(model: MixtureModel, n: int, seed: int = 0) -> np.ndarray:
             if boost:
                 _boost(rng, lam, comp.shape)
             lam /= comp.scale
-            out[at] = _counts_from_rates(geometric, lam, out=lam.view(np.int64))
+            out[at] = _counts_from_rates(geometric, lam)
         rng = geometric
     return out
 

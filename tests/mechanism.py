@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from lomaxmix.simulate import _gamma_variates, _open_uniform, _rng
+from lomaxmix.simulate import _gamma_at_least_one, _open_uniform, _rng
 
 
 def gamma_pdf(lam, shape, rate):
@@ -36,7 +36,7 @@ def competing_observables(n, budget, draws, seed):
     """
     rng = _rng(seed)
     e0 = -np.log(_open_uniform(rng, draws))
-    rest = _gamma_variates(rng, float(n), draws)
+    rest = np.concatenate(list(_gamma_at_least_one(rng, float(n), draws)))  # Gamma(n), n >= 1
     return np.sort(budget * e0 / (e0 + rest))
 
 

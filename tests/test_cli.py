@@ -588,6 +588,18 @@ class TestMalformedInput:
         assert err.startswith("error: ") and "dt" in err and "Traceback" not in err
         assert list(tmp_path.iterdir()) == [message_log]
 
+    @pytest.mark.parametrize("dt", ["0", "-1", "nan", "inf"])
+    def test_replies_bad_dt_exit_2_before_parsing(self, tmp_path, message_log, capsys, monkeypatch, dt):
+        # a bad step is refused before the log is parsed and matched, which takes a pass over the whole log
+        def parse_started(*args, **kwargs):
+            raise AssertionError("the log was parsed")
+
+        monkeypatch.setattr(cli, "parse_message_log", parse_started)
+        out = [str(tmp_path / "d"), str(tmp_path / "c")]
+        assert main(["replies", str(message_log), f"--dt={dt}", "--out-delays", out[0], "--out-counts", out[1]]) == 2
+        assert capsys.readouterr().err == f"error: discretization dt must be finite and > 0, got {float(dt)!r}\n"
+        assert list(tmp_path.iterdir()) == [message_log]
+
     def test_replies_leaves_no_partial_output(self, tmp_path, message_log, capsys):
         delays, kept = tmp_path / "d.out", tmp_path / "kept.out"
         kept.write_text("earlier\n")
@@ -644,7 +656,7 @@ class TestMalformedInput:
             for command in ("gof", "ccdf", "rank", "simulate")
             for defect in ("no_components", "array", "non_numeric")
         ]
-        + [("gof", "no_n_params")],  # only gof reads n_params from the report
+        + [("gof", "no_n_params"), ("gof", "bool_n_params")],  # only gof reads n_params from the report
     )
     def test_malformed_report_exit_2(self, tmp_path, capsys, command, defect):
         data = sample_mixture(unit_model(), 1000, seed=13)
@@ -659,6 +671,8 @@ class TestMalformedInput:
             report = [report]
         elif defect == "non_numeric":
             report["components"][0]["b"] = "two"
+        elif defect == "bool_n_params":
+            report["n_params"] = True  # a bool is an int to isinstance, but no parameter count
         else:
             del report["n_params"]
         rep.write_text(json.dumps(report))

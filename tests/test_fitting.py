@@ -7,7 +7,7 @@ from functools import partial
 import numpy as np
 import pytest
 import scipy.special as sps
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
@@ -101,13 +101,17 @@ class TestCountSample:
         size=st.sampled_from([1, 2, _SLAB - 1, _SLAB, _SLAB + 1, 3 * _SLAB + 2]),
         seed=st.integers(0, 2**32 - 1),
     )
+    # sorted, each of its slabs has a larger top value than the slabs before it
+    @example(pool=[1, 50, 300, _TALLY - 1], size=3 * _SLAB + 2, seed=0)
     def test_distinct_equals_unique(self, pool, size, seed):
         # values below, across and above the tally's end, drawn from a small pool so they repeat
         values = np.array(pool, dtype=np.int64)[np.random.default_rng(seed).integers(0, len(pool), size)]
-        sample = CountSample(values)
         want_ks, want_counts = np.unique(values, return_counts=True)
-        assert sample.ks.dtype == sample.counts.dtype == np.int64
-        assert np.array_equal(sample.ks, want_ks) and np.array_equal(sample.counts, want_counts)
+        # in drawn order, and ascending, in which the tally grows slab by slab
+        for ordered in (values, np.sort(values)):
+            sample = CountSample(ordered)
+            assert sample.ks.dtype == sample.counts.dtype == np.int64
+            assert np.array_equal(sample.ks, want_ks) and np.array_equal(sample.counts, want_counts)
 
     def test_distinct_peak_per_value(self):
         # 1e6 draws from 0.7:5:0.9,0.3:500:1.3, 99.9% of them below _TALLY:

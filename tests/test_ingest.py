@@ -12,6 +12,7 @@ import log_oracle
 import reply_oracle
 from memory import peak_above
 from lomaxmix import (
+    CountSample,
     DegenerateDataError,
     DomainError,
     InputFormatError,
@@ -576,6 +577,10 @@ class TestCountOracle:
         path.write_text("".join(f"{top}\n2\n" * (_READ_BLOCK // 8) for top in tops))
         assert _outcome(path) == _oracle_outcome(path)
         assert _outcome(path)[0] == sorted({2, *tops})
+        # the constructor's slabs of the same values build the same sample
+        values, _, _ = count_oracle.load_counts(path)
+        built = CountSample(values)
+        assert _outcome(path)[:2] == (built.ks.tolist(), built.counts.tolist())
 
     @pytest.mark.parametrize("text", ["\ud800,5\n7\n", "u\udfff1,3\n\ud800\n", "5\n" * 3 + "\udc00"])
     def test_lone_surrogates_in_a_stream(self, text):

@@ -15,7 +15,7 @@ from lomaxmix import (
     chi_square_test,
     sample_mixture,
 )
-from lomaxmix.simulate import _CHUNK, _SLAB, _ahead, _counts_from_rates, _gamma_variates, _rng
+from lomaxmix.simulate import _CHUNK, _SLAB, _ahead, _boost, _counts_from_rates, _gamma_at_least_one, _rng
 
 import mechanism
 import sampler_reference
@@ -24,6 +24,14 @@ from memory import peak_above
 
 def single(b, v):
     return MixtureModel.from_parameters([1.0], [b], [v])
+
+
+def gamma_variates(rng, shape, size):
+    """``size`` Gamma(shape) variates as ``sample_mixture`` draws a component's rates, before its scale."""
+    g = np.concatenate([np.empty(0), *_gamma_at_least_one(rng, shape + (shape < 1.0), size)])
+    if shape < 1.0:
+        _boost(rng, g, shape)
+    return g
 
 
 def geometric_draws(lam, n, seed):
@@ -69,14 +77,14 @@ class TestGeometricSampler:
 class TestGammaVariates:
     def test_moments(self):
         for shape in (0.3, 0.5, 1.0, 3.0, 40.0):
-            g = _gamma_variates(_rng(11), shape, 3 * 10**5)
+            g = gamma_variates(_rng(11), shape, 3 * 10**5)
             assert abs(g.mean() - shape) / shape < 0.02
             assert abs(g.var() - shape) / shape < 0.05
 
     def test_distribution_ks(self):
         # both branches of the sampler against the scipy gamma CDF
         for shape in (0.4, 2.5):
-            g = _gamma_variates(_rng(23), shape, 10**5)
+            g = gamma_variates(_rng(23), shape, 10**5)
             res = stats.kstest(g, stats.gamma(a=shape).cdf)
             assert res.pvalue > 1e-3
 
@@ -170,7 +178,7 @@ class TestAhead:
             rng, want = _rng(5), _rng(5)
             rng.random(size % 4)  # start with some doubles buffered
             want.random(size % 4)
-            _gamma_variates(rng, shape, size)
+            gamma_variates(rng, shape, size)
             sampler_reference.gamma_variates(want, shape, size)
             assert np.array_equal(rng.random(9), want.random(9)), size
 
@@ -178,7 +186,7 @@ class TestAhead:
         lam = np.geomspace(1e-12, 30.0, 3 * _CHUNK + 5)
         lam[::7] = 0.0
         want = sampler_reference.counts_from_rates(_rng(8), lam)
-        got = _counts_from_rates(_rng(8), lam, out=lam.view(np.int64))
+        got = _counts_from_rates(_rng(8), lam)
         assert np.shares_memory(got, lam)
         assert np.array_equal(got, want)
 
@@ -193,7 +201,7 @@ class TestStreamReference:
     def test_gamma_variates(self, shape):
         for size in self.SIZES:
             for seed in (0, 1, 2):
-                got = _gamma_variates(_rng(seed), shape, size)
+                got = gamma_variates(_rng(seed), shape, size)
                 want = sampler_reference.gamma_variates(_rng(seed), shape, size)
                 assert np.array_equal(got, want), (size, seed)
 
@@ -201,7 +209,7 @@ class TestStreamReference:
         for size in self.SIZES:
             lam = np.geomspace(1e-12, 30.0, size)
             lam[::7] = 0.0
-            got = _counts_from_rates(_rng(size), lam)
+            got = _counts_from_rates(_rng(size), lam.copy())  # which it overwrites
             want = sampler_reference.counts_from_rates(_rng(size), lam)
             assert np.array_equal(got, want), size
 
