@@ -596,8 +596,10 @@ class TestMalformedInput:
 
         monkeypatch.setattr(cli, "parse_message_log", parse_started)
         out = [str(tmp_path / "d"), str(tmp_path / "c")]
-        assert main(["replies", str(message_log), f"--dt={dt}", "--out-delays", out[0], "--out-counts", out[1]]) == 2
-        assert capsys.readouterr().err == f"error: discretization dt must be finite and > 0, got {float(dt)!r}\n"
+        argv = ["replies", str(message_log), f"--dt={dt}", "--out-delays", out[0], "--out-counts", out[1]]
+        assert main(argv) == 2
+        message = f"discretization dt must be finite and > 0, got {float(dt)!r}"
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert list(tmp_path.iterdir()) == [message_log]
 
     def test_replies_leaves_no_partial_output(self, tmp_path, message_log, capsys):
