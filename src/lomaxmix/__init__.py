@@ -40,7 +40,7 @@ from .fitting import (
     n_params_for_order,
     scan_orders,
 )
-from .gof import GofBin, GofReport, chi_square_test, empirical_ccdf
+from .gof import GofReport, chi_square_test, empirical_ccdf
 from .ingest import (
     ReplyDelaySample,
     discretize,

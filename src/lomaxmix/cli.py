@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import functools
 import os
 import sys
@@ -57,7 +56,6 @@ from .ingest import (
 )
 from .report import (
     SCHEMA_VERSION,
-    _record_dict,
     build_report,
     load_report,
     model_from_dict,
@@ -177,7 +175,7 @@ def _report_fits(args, sample, scan: ScanResult, config: FitConfig, m_max: int) 
             baselines[name] = str(exc)
             _err(f"baseline {name} failed: {exc}")
 
-    config_echo = {**dataclasses.asdict(config), "m_max": m_max, "alpha": args.alpha}
+    config_echo = {**vars(config), "m_max": m_max, "alpha": args.alpha}
     out = args.out or f"{args.counts}.report.json"
     write_report(out, build_report(scan, sample, gof, baselines, config_echo))
     _print_scan_table(scan)
@@ -209,7 +207,7 @@ def cmd_gof(args) -> int:
         payload = {
             "schema_version": SCHEMA_VERSION,
             "input_digest": sample_digest(sample),
-            "gof": _record_dict(gof_report),
+            "gof": dict(vars(gof_report)),
         }
         write_report(args.out, payload)
         print(f"gof -> {args.out}")

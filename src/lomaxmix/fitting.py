@@ -547,9 +547,7 @@ def fit_mixture(data: CountSample, order: int, config: FitConfig = FitConfig()) 
     The fitted log-likelihood is never below that at the first start's initial
     point.  Deterministic for a given (data, order, config).
     """
-    if order < 1:
-        raise DomainError(f"order must be >= 1, got {order!r}")
-    _check_start_array(config.starts, order)
+    _check_start_array(config.starts, order)  # refuses an order below 1 too
     n = data.size
     n_free = n_params_for_order(order)
     if n < n_free:

@@ -20,7 +20,6 @@ from .fitting import CountSample
 from .special import regularized_upper_incomplete_gamma
 
 __all__ = [
-    "GofBin",
     "GofReport",
     "empirical_ccdf",
     "chi_square_statistic",
@@ -35,23 +34,17 @@ _K_CAP = 2**62
 
 
 @dataclass(frozen=True)
-class GofBin:
-    """One contiguous bin [k_lo, k_hi); k_hi None marks the open tail."""
-
-    k_lo: int
-    k_hi: int | None
-    observed: int
-    expected: float
-
-
-@dataclass(frozen=True)
 class GofReport:
-    """Chi-square test outcome at significance level ``alpha``."""
+    """Chi-square test outcome at significance level ``alpha``.
+
+    Each bin is the record a report writes: ``{"k_lo", "k_hi", "observed",
+    "expected"}`` for the contiguous bin [k_lo, k_hi), k_hi None for the open tail.
+    """
 
     chi2: float
     dof: int
     p_value: float
-    bins: tuple[GofBin, ...]
+    bins: tuple[dict, ...]
     alpha: float
     rejected: bool
     n_params: int
@@ -164,7 +157,10 @@ def chi_square_test(
     positions = np.searchsorted(ks, np.asarray(edges, dtype=np.int64), side="left")
     observed = np.diff(cum[positions], append=n)
     expected = -np.diff(survs, append=0.0) * n  # n (s_i - s_i+1), and n s_last
-    bins = tuple(map(GofBin, edges, edges[1:] + [None], observed.tolist(), expected.tolist()))
+    bins = tuple(
+        {"k_lo": lo, "k_hi": hi, "observed": o, "expected": e}
+        for lo, hi, o, e in zip(edges, edges[1:] + [None], observed.tolist(), expected.tolist())
+    )
 
     chi2 = chi_square_statistic(observed, expected)
     p_value = chi_square_survival(chi2, dof)

@@ -62,24 +62,12 @@ def model_to_dict(model: MixtureModel) -> list[dict]:
 
 def model_from_dict(components: list[dict]) -> MixtureModel:
     try:
-        return MixtureModel.from_parameters(
-            [c["c"] for c in components],
-            [c["b"] for c in components],
-            [c["v"] for c in components],
-        )
+        columns = [[comp[key] for comp in components] for key in "cbv"]
+        if bad := [x for column in columns for x in column if type(x) not in (int, float)]:
+            raise TypeError(f"parameters must be numbers, got {bad[0]!r}")  # float() reads true and "0.5"
+        return MixtureModel.from_parameters(*columns)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputFormatError(f"malformed components in report: {exc}") from exc
-
-
-def _record_dict(record) -> dict:
-    """A dataclass's fields by name, a tuple of dataclasses (``GofReport.bins``) as a list of dicts.
-
-    Unlike ``dataclasses.asdict``, it does not deep-copy every value of every bin.
-    """
-    return {
-        name: [dict(vars(item)) for item in value] if isinstance(value, tuple) else value
-        for name, value in vars(record).items()
-    }
 
 
 def _fit_to_scan_row(fit: FitResult, best_aic: float) -> dict:
@@ -120,10 +108,10 @@ def build_report(
         "delta_aic_runner_up": scan.delta_aic_runner_up,
         "scan": [_fit_to_scan_row(f, best.aic) for f in scan.fits],
         "scan_failures": {str(m): msg for m, msg in sorted(scan.failures.items())},
-        "gof": None if failed else _record_dict(gof),
+        "gof": None if failed else dict(vars(gof)),
         "gof_error": gof if failed else None,
         "baselines": {
-            name: {"error": b} if isinstance(b, str) else _record_dict(b) for name, b in baselines.items()
+            name: {"error": b} if isinstance(b, str) else dict(vars(b)) for name, b in baselines.items()
         },
         "config": dict(config),
     }

@@ -61,8 +61,18 @@ _SLAB = 65_536
 _PHILOX_BLOCK = 4
 
 
+def _integral(name: str, value) -> int:
+    """``value`` as an int, refused unless it is a finite integral number: int() truncates 10.5 to 10."""
+    try:
+        if value == int(value):
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise DomainError(f"{name} must be an integer, got {value!r}")
+
+
 def _rng(seed: int) -> np.random.Generator:
-    seed = int(seed)
+    seed = _integral("seed", seed)
     if not 0 <= seed < 2**128:
         raise DomainError(f"seed must lie in [0, 2**128), got {seed!r}")
     return np.random.Generator(np.random.Philox(key=seed))
@@ -190,7 +200,7 @@ def sample_mixture(model: MixtureModel, n: int, seed: int = 0) -> np.ndarray:
     """
     if not isinstance(model, MixtureModel):
         raise ValidationError("model must be a MixtureModel")
-    n = int(n)
+    n = _integral("n", n)
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n!r}")
     if n > _MAX_SIZE:

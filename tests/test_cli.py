@@ -5,7 +5,7 @@ import io
 import json
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -16,8 +16,10 @@ from lomaxmix import (
     CountSample,
     FitConfig,
     FitResult,
+    GofReport,
     MixtureModel,
     aic,
+    chi_square_test,
     log_likelihood,
     sample_mixture,
     save_counts,
@@ -196,6 +198,34 @@ class TestScan:
         report = load_report(path)
         write_report(tmp_path / "rt2.json", report)
         assert strip_timestamps(load_report(tmp_path / "rt2.json")) == strip_timestamps(report)
+
+
+class TestGofBlock:
+    """The gof block is the chi-square result's fields by name, each bin the
+    record ``{k_lo, k_hi, observed, expected}``; ``gof --out`` writes the same block."""
+
+    def test_scan_and_gof_out_blocks_equal_the_test(self, tmp_path):
+        draws = sample_mixture(MixtureModel.from_parameters([0.7, 0.3], [2.0, 20.0], [1.2, 3.0]), 2 * 10**4, seed=3)
+        counts = tmp_path / "b.counts"
+        save_counts(counts, draws)
+        rep, gof_out = tmp_path / "b.json", tmp_path / "gof.json"
+        argv = ["scan", str(counts), "--m-max", "2", "--starts", "4", "--alpha", "0.01", "--out", str(rep)]
+        assert main(argv) == 0
+        report = load_report(rep)
+        sample = CountSample(draws)
+        test = chi_square_test(model_from_dict(report["components"]), sample, report["n_params"], 0.01)
+        block = report["gof"]
+        assert block == json.loads(json.dumps(asdict(test)))
+        assert sorted(block) == sorted(f.name for f in fields(GofReport))
+        bins = block["bins"]
+        assert len(bins) > 3
+        for b, after in zip(bins, bins[1:] + [None]):
+            assert sorted(b) == ["expected", "k_hi", "k_lo", "observed"]
+            assert type(b["k_lo"]) is int and type(b["observed"]) is int and type(b["expected"]) is float
+            assert b["k_hi"] == (after["k_lo"] if after else None)
+        assert main(["gof", str(counts), str(rep), "--alpha", "0.01", "--out", str(gof_out)]) == 0
+        written = json.loads(gof_out.read_text())
+        assert written == {"schema_version": SCHEMA_VERSION, "input_digest": report["input_digest"], "gof": block}
 
 
 class TestFitAndGof:
@@ -656,7 +686,7 @@ class TestMalformedInput:
         [
             (command, defect)
             for command in ("gof", "ccdf", "rank", "simulate")
-            for defect in ("no_components", "array", "non_numeric")
+            for defect in ("no_components", "array", "non_numeric", "bool_parameter", "numeric_string")
         ]
         + [("gof", "no_n_params"), ("gof", "bool_n_params")],  # only gof reads n_params from the report
     )
@@ -673,6 +703,10 @@ class TestMalformedInput:
             report = [report]
         elif defect == "non_numeric":
             report["components"][0]["b"] = "two"
+        elif defect == "bool_parameter":
+            report["components"][0]["v"] = True  # float() reads it as 1.0
+        elif defect == "numeric_string":
+            report["components"][0]["v"] = "0.5"
         elif defect == "bool_n_params":
             report["n_params"] = True  # a bool is an int to isinstance, but no parameter count
         else:
@@ -686,7 +720,17 @@ class TestMalformedInput:
             "simulate": ["simulate", "--from-report", str(rep), "-n", "5", "--out", out],
         }[command]
         assert main(argv) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        if defect in ("bool_parameter", "numeric_string"):
+            assert "malformed components in report" in err
+
+    def test_fit_order_0_exit_2(self, tmp_path, capsys):
+        counts = tmp_path / "c.counts"
+        save_counts(counts, sample_mixture(unit_model(), 1000, seed=13))
+        assert main(["fit", str(counts), "--m", "0", "--out", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "order must be >= 1, got 0" in err and "Traceback" not in err
 
 
 _COMPONENT = st.tuples(

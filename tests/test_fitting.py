@@ -230,6 +230,10 @@ class TestFitMixture:
         with pytest.raises(ValidationError):
             fit_mixture(CountSample(np.array([1, 2, 3])), 2)
 
+    def test_order_below_one(self):
+        with pytest.raises(DomainError, match="order must be >= 1, got 0"):
+            fit_mixture(CountSample(np.array([1, 2, 3])), 0)
+
     def test_deterministic(self):
         data = CountSample(sample_mixture(TRUTH_2, 5000, seed=5))
         a = fit_mixture(data, 2, FitConfig(starts=6, seed=11))

@@ -16,7 +16,7 @@ from lomaxmix import (
     mixture_ccdf,
     sample_mixture,
 )
-from lomaxmix.gof import GofBin, _bin_edges, chi_square_statistic, chi_square_survival
+from lomaxmix.gof import _bin_edges, chi_square_statistic, chi_square_survival
 
 
 def single(b, v):
@@ -79,14 +79,14 @@ class TestChiSquareTest:
         model = single(2.0, 1.5)
         data = CountSample(sample_mixture(model, 10**4, seed=3))
         rep = chi_square_test(model, data, n_params=0, alpha=0.1)
-        assert rep.bins[0].k_lo == 1
-        assert rep.bins[-1].k_hi is None
+        assert rep.bins[0]["k_lo"] == 1
+        assert rep.bins[-1]["k_hi"] is None
         for left, right in zip(rep.bins[:-1], rep.bins[1:]):
-            assert left.k_hi == right.k_lo
-        assert all(b.expected >= 5.0 for b in rep.bins)
-        assert sum(b.observed for b in rep.bins) == data.size
+            assert left["k_hi"] == right["k_lo"]
+        assert all(b["expected"] >= 5.0 for b in rep.bins)
+        assert sum(b["observed"] for b in rep.bins) == data.size
         np.testing.assert_allclose(
-            sum(b.expected for b in rep.bins), data.size, atol=1e-6
+            sum(b["expected"] for b in rep.bins), data.size, atol=1e-6
         )
         assert rep.dof == len(rep.bins) - 1 - rep.n_params
 
@@ -105,10 +105,11 @@ class TestChiSquareTest:
         for i, lo in enumerate(edges[:-1]):
             hi = edges[i + 1]
             observed = int(np.count_nonzero((values >= lo) & (values < hi)))
-            reference.append(GofBin(lo, hi, observed, n * (survs[i] - survs[i + 1])))
-        reference.append(GofBin(edges[-1], None, int(np.count_nonzero(values >= edges[-1])), n * survs[-1]))
+            reference.append({"k_lo": lo, "k_hi": hi, "observed": observed, "expected": n * (survs[i] - survs[i + 1])})
+        observed = int(np.count_nonzero(values >= edges[-1]))
+        reference.append({"k_lo": edges[-1], "k_hi": None, "observed": observed, "expected": n * survs[-1]})
         assert rep.bins == tuple(reference)
-        assert all(type(b.observed) is int and type(b.expected) is float for b in rep.bins)
+        assert all(type(b["observed"]) is int and type(b["expected"]) is float for b in rep.bins)
 
     def test_true_model_not_rejected(self):
         model = single(2.0, 1.5)

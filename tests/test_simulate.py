@@ -153,6 +153,20 @@ class TestMixtureSampler:
     def test_largest_seed_accepted(self):
         assert sample_mixture(single(1.0, 1.0), 10, seed=2**128 - 1).size == 10
 
+    # int() truncated these: 10.5 drew 10 counts and seed 1.9 the stream of seed 1
+    @pytest.mark.parametrize(
+        "n, seed, name",
+        [(10.5, 1, "n"), (float("nan"), 1, "n"), ("10", 1, "n"), (10, 1.9, "seed"), (10, float("inf"), "seed")],
+        ids=["n-10.5", "n-nan", "n-str", "seed-1.9", "seed-inf"],
+    )
+    def test_non_integral_arguments_refused(self, n, seed, name):
+        with pytest.raises(DomainError, match=f"{name} must be an integer"):
+            sample_mixture(single(1.0, 1.0), n, seed=seed)
+
+    def test_integral_floats_accepted(self):
+        model = single(1.0, 1.0)
+        assert np.array_equal(sample_mixture(model, 1e3, seed=2.0), sample_mixture(model, 1000, seed=2))
+
 
 class TestAhead:
     """_ahead gives the stream ``delta`` doubles later and leaves its argument
