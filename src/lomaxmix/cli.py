@@ -81,18 +81,19 @@ def _err(msg: str) -> None:
 
 
 def _claim_outputs(*paths) -> None:
-    """Open every output before any is written, so a path that cannot be
-    opened leaves no output behind: the files this call created are removed
-    again, and files that already existed are not truncated."""
+    """Open every output before any is written, so a path that cannot be opened,
+    or names an earlier output's file, leaves no output behind: the files this
+    call created are removed again, and files that already existed are not truncated."""
     created = []
     try:
-        for path in paths:
+        for i, path in enumerate(paths):
             existed = os.path.exists(path)
-            with open(path, "a", encoding="utf-8"):
-                pass
+            open(path, "a", encoding="utf-8").close()
             if not existed:
                 created.append(path)
-    except OSError:
+            if any(os.path.samefile(path, other) for other in paths[:i]):
+                raise InputFormatError(f"two outputs name one file: {path}")
+    except (OSError, InputFormatError):
         for path in created:
             os.remove(path)
         raise
@@ -196,6 +197,7 @@ def _print_verdict(gof_report) -> None:
 
 
 def cmd_gof(args) -> int:
+    _check_alpha(args.alpha)
     sample = _load_sample(args.counts)
     report = load_report(args.report)
     model = model_from_dict(report["components"])

@@ -43,6 +43,21 @@ SHAPE_BOUNDS = (1e-6, 1e3)
 _WEIGHT_SUM_TOL = 1e-12
 
 
+def _integral(name: str, value, lo: int | None = None) -> int:
+    """``value`` as an int: a Python or numpy integer or an integral float, not a
+    bool (int() alone takes True as 1 and truncates 10.5 to 10), and >= ``lo``."""
+    try:
+        as_int = int(value)
+        integral = as_int == value and not isinstance(value, (bool, np.bool_))
+    except (TypeError, ValueError, OverflowError):
+        integral = False
+    if not integral:  # raised outside the try, since a DomainError is a ValueError
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if lo is not None and as_int < lo:
+        raise DomainError(f"{name} must be >= {lo}, got {value!r}")
+    return as_int
+
+
 def _check_finite(name: str, x: float) -> float:
     x = float(x)
     if not math.isfinite(x):
@@ -193,10 +208,7 @@ class RankModel:
     def __post_init__(self) -> None:
         object.__setattr__(self, "shape", _positive("shape", self.shape))
         object.__setattr__(self, "scale", _positive("scale", self.scale))
-        l = int(self.population)
-        if l < 1 or l != self.population:
-            raise DomainError(f"population must be a positive integer, got {self.population!r}")
-        object.__setattr__(self, "population", l)
+        object.__setattr__(self, "population", _integral("population", self.population, 1))
 
 
 def _validate_counts(k, name: str = "k"):

@@ -25,6 +25,7 @@ from .distributions import (
     SHAPE_BOUNDS,
     MixtureModel,
     _component_terms,
+    _integral,
     _validate_counts,
     mixture_log_pmf,
 )
@@ -166,8 +167,8 @@ class FitConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.starts < 1:
-            raise DomainError(f"starts must be >= 1, got {self.starts!r}")
+        object.__setattr__(self, "starts", _integral("starts", self.starts, 1))
+        object.__setattr__(self, "seed", _integral("seed", self.seed))
 
 
 @dataclass(frozen=True)
@@ -223,15 +224,12 @@ class ScanResult:
 
 def n_params_for_order(order: int) -> int:
     """Number of free parameters of an M-component mixture: 3M - 1."""
-    if order < 1:
-        raise DomainError(f"order must be >= 1, got {order!r}")
-    return 3 * order - 1
+    return 3 * _integral("order", order, 1) - 1
 
 
 def aic(log_likelihood: float, n_params: int) -> float:
     """Akaike information criterion, -2 log L + 2 n."""
-    if n_params < 1:
-        raise DomainError(f"n_params must be >= 1, got {n_params!r}")
+    n_params = _integral("n_params", n_params, 1)
     if not math.isfinite(log_likelihood):
         raise DomainError("log_likelihood must be finite")
     return -2.0 * log_likelihood + 2.0 * n_params
@@ -532,10 +530,11 @@ def _grouped(ks: np.ndarray, counts: np.ndarray):
     return np.concatenate([ks[:big], edges[used]]), widths, np.concatenate([counts[:big], pooled[used]])
 
 
-def _check_start_array(starts: int, order: int) -> None:
-    """Refuse a start array of starts x (3M - 1) values that numpy cannot hold."""
+def _check_start_array(starts: int, order: int) -> int:
+    """3M - 1, once a start array of starts x (3M - 1) values is known to fit in one numpy array."""
     if starts > _MAX_SIZE // (n_free := n_params_for_order(order)):
         raise DomainError(f"starts x (3M - 1) = {starts} x {n_free} values at M = {order} exceeds the {_MAX_SIZE} one array can hold")
+    return n_free
 
 
 def fit_mixture(data: CountSample, order: int, config: FitConfig = FitConfig()) -> FitResult:
@@ -547,9 +546,9 @@ def fit_mixture(data: CountSample, order: int, config: FitConfig = FitConfig()) 
     The fitted log-likelihood is never below that at the first start's initial
     point.  Deterministic for a given (data, order, config).
     """
-    _check_start_array(config.starts, order)  # refuses an order below 1 too
+    order = _integral("order", order, 1)
+    n_free = _check_start_array(config.starts, order)
     n = data.size
-    n_free = n_params_for_order(order)
     if n < n_free:
         raise ValidationError(f"sample size {n} is too small to fit {n_free} parameters")
     if data.ks.size == 1:
@@ -607,8 +606,7 @@ def scan_orders(data: CountSample, max_order: int, config: FitConfig = FitConfig
     since every higher order has more still, and at the first degenerate
     sample error, which depends on the data alone.
     """
-    if max_order < 1:
-        raise DomainError(f"max_order must be >= 1, got {max_order!r}")
+    max_order = _integral("max_order", max_order, 1)
     _check_start_array(config.starts, max_order)
     fits: list[FitResult] = []
     failures: dict[int, str] = {}

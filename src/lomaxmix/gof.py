@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import MixtureModel, _mix_ccdf_scalar
+from .distributions import MixtureModel, _integral, _mix_ccdf_scalar
 from .errors import DomainError, InsufficientResolutionError, ValidationError
 from .fitting import CountSample
 from .special import regularized_upper_incomplete_gamma
@@ -133,8 +133,7 @@ def chi_square_test(
     this data (0 for a fully specified model); it reduces the degrees of
     freedom as dof = bins - 1 - n_params.
     """
-    if n_params < 0:
-        raise DomainError(f"n_params must be >= 0, got {n_params!r}")
+    n_params = _integral("n_params", n_params, 0)
     _check_alpha(alpha)
     ks, counts, n = data.ks, data.counts, data.size
     if n < _MIN_SAMPLE:
@@ -171,6 +170,6 @@ def chi_square_test(
         bins=bins,
         alpha=float(alpha),
         rejected=p_value < alpha,
-        n_params=int(n_params),
+        n_params=n_params,
         sample_size=n,
     )

@@ -43,7 +43,7 @@ import math
 
 import numpy as np
 
-from .distributions import MixtureModel
+from .distributions import MixtureModel, _integral
 from .errors import DomainError, ValidationError
 from .fitting import _MAX_SIZE
 
@@ -59,16 +59,6 @@ _CHUNK = 16_384
 _SLAB = 65_536
 # doubles per Philox counter value: the bit generator makes its outputs four at a time
 _PHILOX_BLOCK = 4
-
-
-def _integral(name: str, value) -> int:
-    """``value`` as an int, refused unless it is a finite integral number: int() truncates 10.5 to 10."""
-    try:
-        if value == int(value):
-            return int(value)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise DomainError(f"{name} must be an integer, got {value!r}")
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -200,9 +190,7 @@ def sample_mixture(model: MixtureModel, n: int, seed: int = 0) -> np.ndarray:
     """
     if not isinstance(model, MixtureModel):
         raise ValidationError("model must be a MixtureModel")
-    n = _integral("n", n)
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n!r}")
+    n = _integral("n", n, 1)
     if n > _MAX_SIZE:
         raise DomainError(f"n = {n} exceeds the {_MAX_SIZE} draws one array can hold")
     rng = _rng(seed)

@@ -554,14 +554,17 @@ class TestMalformedInput:
         assert err.startswith("error: ") and message in err and "Traceback" not in err
 
     @pytest.mark.parametrize("alpha", ["1.5", "0", "nan"])
-    @pytest.mark.parametrize("command", [["scan", "--m-max", "2"], ["fit", "--m", "2"]], ids=["scan", "fit"])
+    @pytest.mark.parametrize(
+        "command", [["scan", "--m-max", "2"], ["fit", "--m", "2"], ["gof", "in.json"]], ids=["scan", "fit", "gof"]
+    )
     def test_bad_alpha_exit_2_before_any_fit(self, tmp_path, capsys, monkeypatch, command, alpha):
-        # the alpha was refused by chi_square_test, after every order had been fitted
-        def fit_started(*args, **kwargs):
-            raise AssertionError("a fit started")
+        # the alpha was refused by chi_square_test, after every order had been
+        # fitted, or for gof after the count file and the report had been read
+        def started(*args, **kwargs):
+            raise AssertionError("a fit started or an input was read")
 
-        monkeypatch.setattr(cli, "scan_orders", fit_started)
-        monkeypatch.setattr(cli, "fit_mixture", fit_started)
+        for name in ("scan_orders", "fit_mixture", "load_counts"):
+            monkeypatch.setattr(cli, name, started)
         counts, out = tmp_path / "c.counts", tmp_path / "r.json"
         save_counts(counts, sample_mixture(unit_model(), 1000, seed=13))
         assert main([command[0], str(counts), *command[1:], "--alpha", alpha, "--out", str(out)]) == 2
@@ -630,6 +633,15 @@ class TestMalformedInput:
         assert main(argv) == 2
         message = f"discretization dt must be finite and > 0, got {float(dt)!r}"
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == [message_log]
+
+    @pytest.mark.parametrize("second", ["P", "./P"])
+    def test_replies_outputs_naming_one_file_exit_2(self, tmp_path, message_log, capsys, monkeypatch, second):
+        # the counts overwrote the delays, and the command exited 0
+        monkeypatch.chdir(tmp_path)
+        assert main(["replies", str(message_log), "--out-delays", "P", "--out-counts", second]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: two outputs name one file: {second}\n"
         assert list(tmp_path.iterdir()) == [message_log]
 
     def test_replies_leaves_no_partial_output(self, tmp_path, message_log, capsys):
@@ -759,6 +771,21 @@ class TestReportRoundTrip:
         loaded = model_from_dict(load_report(path)["components"])
         as_bits = lambda m: [(c.weight.hex(), c.scale.hex(), c.shape.hex()) for c in m.components]  # noqa: E731
         assert as_bits(loaded) == as_bits(model)
+
+
+def test_numpy_integers_write_the_report_of_python_ints(tmp_path):
+    # a numpy seed crashed every fit with an OverflowError at seed % 2**64,
+    # and a numpy n_params came back as a dof that json cannot write
+    data = CountSample(sample_mixture(unit_model(), 3000, seed=13))
+    digests = []
+    for to in (int, np.int64):
+        config = FitConfig(starts=to(4), seed=to(0))
+        scan = fitting.scan_orders(data, to(2), config)
+        gof = chi_square_test(scan.best.model, data, to(scan.best.n_params), 0.01)
+        path = tmp_path / f"{to.__name__}.json"
+        write_report(path, build_report(scan, data, gof, {}, {**vars(config), "m_max": 2}))
+        digests.append(_report_digest(path))
+    assert digests[0] == digests[1]
 
 
 @pytest.fixture(scope="module")

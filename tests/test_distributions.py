@@ -169,6 +169,16 @@ class TestRankLaws:
         with pytest.raises(DomainError):
             rank_frequency(rm, 11)
 
+    # True passed as a population of 1
+    @pytest.mark.parametrize("population", [2.5, True, 0], ids=["2.5", "True", "0"])
+    def test_population_must_be_a_positive_integer(self, population):
+        with pytest.raises(DomainError, match="population must be"):
+            RankModel(shape=1.0, scale=1.0, population=population)
+
+    def test_integral_population_kept_as_int(self):
+        for population in (np.int64(10), 10.0):
+            assert type(RankModel(shape=1.0, scale=1.0, population=population).population) is int
+
     def test_frequencies_past_float64_refused(self):
         # expm1(log(1000 / r) / 0.001) / 1000 overflows for r up to 491;
         # it once came back as inf with an overflow warning

@@ -190,6 +190,11 @@ class TestAic:
         assert aic(0.0, 1) == 2.0
         assert aic(-10.0, 5) == 30.0
 
+    @pytest.mark.parametrize("n_params", [2.5, True], ids=["2.5", "True"])
+    def test_non_integral_parameter_count_refused(self, n_params):
+        with pytest.raises(DomainError, match="n_params must be an integer"):
+            aic(-10.0, n_params)
+
     def test_bit_exact_on_fit(self):
         data = CountSample(sample_mixture(single(2.0, 1.5), 2000, seed=1))
         fit = fit_mixture(data, 1, FitConfig(starts=4, seed=0))
@@ -233,6 +238,17 @@ class TestFitMixture:
     def test_order_below_one(self):
         with pytest.raises(DomainError, match="order must be >= 1, got 0"):
             fit_mixture(CountSample(np.array([1, 2, 3])), 0)
+
+    # 2.5 ended in a TypeError inside numpy, and True fitted one component
+    @pytest.mark.parametrize("order", [2.5, True, "2"], ids=["2.5", "True", "str"])
+    def test_non_integral_order_refused(self, order):
+        with pytest.raises(DomainError, match="order must be an integer"):
+            fit_mixture(CountSample(np.array([1, 2, 3, 5, 8, 13])), order)
+
+    def test_integral_float_order_fits_as_int(self):
+        data = CountSample(sample_mixture(TRUTH_2, 2000, seed=5))
+        config = FitConfig(starts=3, seed=np.int64(5))
+        assert fit_mixture(data, 2.0, config) == fit_mixture(data, 2, FitConfig(starts=3, seed=5))
 
     def test_deterministic(self):
         data = CountSample(sample_mixture(TRUTH_2, 5000, seed=5))
@@ -298,7 +314,8 @@ class TestFitMixture:
 class TestFitConfig:
     @pytest.mark.parametrize(
         "field, value",
-        [("starts", 0), ("starts", -3)],
+        [("starts", 0), ("starts", -3), ("starts", 2.5), ("starts", True),
+         ("seed", 1.5), ("seed", True), ("seed", "3")],
     )
     def test_rejects_nonsense(self, field, value):
         with pytest.raises(DomainError, match=f"{field} must be"):
@@ -618,6 +635,11 @@ class TestScanOrders:
         data = CountSample(sample_mixture(single(100.0, 100.0), 2 * 10**4, seed=8))
         scan = scan_orders(data, 3, FitConfig(seed=8))
         assert scan.best.order == 1
+
+    @pytest.mark.parametrize("max_order", [2.5, True], ids=["2.5", "True"])
+    def test_non_integral_max_order_refused(self, max_order):
+        with pytest.raises(DomainError, match="max_order must be an integer"):
+            scan_orders(CountSample(np.array([1, 2, 3, 5, 8, 13])), max_order)
 
     def test_best_is_min_aic(self):
         data = CountSample(sample_mixture(TRUTH_2, 2 * 10**4, seed=4))

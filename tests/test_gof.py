@@ -170,6 +170,14 @@ class TestChiSquareTest:
         with pytest.raises(InsufficientResolutionError):
             chi_square_test(model, data, n_params=0, alpha=0.05)
 
+    # 2.5 left a dof of some bins and a half, and True counted as one parameter
+    @pytest.mark.parametrize("n_params", [2.5, True, None], ids=["2.5", "True", "None"])
+    def test_non_integral_parameter_count_refused(self, n_params):
+        model = single(2.0, 1.5)
+        data = CountSample(sample_mixture(model, 200, seed=9))
+        with pytest.raises(DomainError, match="n_params must be an integer"):
+            chi_square_test(model, data, n_params, 0.05)
+
     def test_dof_exhausted_by_parameters(self):
         model = single(2.0, 1.5)
         data = CountSample(sample_mixture(model, 200, seed=9))

@@ -156,8 +156,9 @@ class TestMixtureSampler:
     # int() truncated these: 10.5 drew 10 counts and seed 1.9 the stream of seed 1
     @pytest.mark.parametrize(
         "n, seed, name",
-        [(10.5, 1, "n"), (float("nan"), 1, "n"), ("10", 1, "n"), (10, 1.9, "seed"), (10, float("inf"), "seed")],
-        ids=["n-10.5", "n-nan", "n-str", "seed-1.9", "seed-inf"],
+        [(10.5, 1, "n"), (float("nan"), 1, "n"), ("10", 1, "n"), (True, 1, "n"),
+         (10, 1.9, "seed"), (10, float("inf"), "seed"), (10, True, "seed")],
+        ids=["n-10.5", "n-nan", "n-str", "n-True", "seed-1.9", "seed-inf", "seed-True"],
     )
     def test_non_integral_arguments_refused(self, n, seed, name):
         with pytest.raises(DomainError, match=f"{name} must be an integer"):
