@@ -12,9 +12,9 @@ rules are provided:
 Both sort messages by (timestamp, sender, receiver), whatever the row
 order, and drop self-messages with a counter.  Logs and count files
 are read from a path or a text stream as UTF-8 text, a block of lines at
-a time.  Parsing fills int64 columns, with sender and receiver names
-interned to int ids; it never discards rows silently: malformed rows
-are tallied with their line numbers and processing continues.
+a time.  Parsing fills columns of int64 timestamps and int32 name ids; it
+never discards rows silently: malformed rows are counted, the first 1,000
+tallied with their line numbers, and processing continues.
 """
 
 from __future__ import annotations
@@ -92,8 +92,9 @@ class MessageLog:
     """Parsed rows as columns plus a per-row error tally (line number, reason).
 
     Parsed row i is a message at ``timestamps[i]`` (int64 seconds) from
-    ``names[senders[i]]`` to ``names[receivers[i]]``.  ``names`` is sorted,
-    so the ids order as the names do.
+    ``names[senders[i]]`` to ``names[receivers[i]]``, int32 ids below 2**31
+    names.  ``names`` is sorted, so the ids order as the names do.  Only the
+    first 1,000 row errors are kept; ``dropped`` counts them all.
     """
 
     timestamps: np.ndarray
@@ -105,7 +106,7 @@ class MessageLog:
 
     @property
     def dropped(self) -> int:
-        return len(self.row_errors)
+        return self.rows_read - self.timestamps.size
 
 
 @dataclass(frozen=True)
@@ -118,7 +119,18 @@ class CountLoadResult:
 
     @property
     def dropped(self) -> int:
-        return len(self.row_errors)
+        return self.rows_read - self.sample.size
+
+
+class _RowErrors(list):
+    """A tally of row errors (line number, reason) that keeps the first 1,000 and counts all."""
+
+    count = 0  # the errors appended
+
+    def append(self, error: tuple[int, str]) -> None:
+        self.count += 1
+        if self.count <= 1_000:
+            super().append(error)
 
 
 def parse_message_log(
@@ -139,17 +151,19 @@ def parse_message_log(
         raise DomainError(f"delimiter must be non-empty without line breaks, got {delimiter!r}")
     # name -> id, in order of first appearance: a new name gets the next id
     ids: defaultdict[str, int] = defaultdict(lambda: len(ids))
-    errors: list[tuple[int, str]] = []
+    errors = _RowErrors()
     none = np.empty(0, dtype=np.int32)
     columns = [(none.astype(np.int64), none, none)]  # (timestamps, sender ids, receiver ids) per block
     lineno = 0  # lines before the current block
-    for block in _read_blocks(source):
+    for blocks, block in enumerate(_read_blocks(source), 1):
         block_columns, lines = _log_block(block, lineno, header and not lineno, delimiter, ids, errors)
         columns.append(block_columns)
         lineno += lines
+        if blocks % 32 == 0:  # join 32 blocks' columns: small arrays, once freed, stay resident as heap litter
+            columns[-32:] = [[np.concatenate(c) for c in zip(*columns[-32:])]]
     times, senders, receivers = (np.concatenate(c) for c in zip(*columns))
     del columns
-    rows = times.size + len(errors)
+    rows = times.size + errors.count
     if rows == 0:
         raise InputFormatError("message log contains no rows")
     if not times.size:
@@ -157,14 +171,12 @@ def parse_message_log(
     # renumber the ids in name order
     first_seen = list(ids)
     by_name = sorted(range(len(first_seen)), key=first_seen.__getitem__)
-    renumber = np.empty(len(first_seen), dtype=np.int64)
+    renumber = np.empty(len(first_seen), dtype=_index_type(len(first_seen)))
     renumber[by_name] = np.arange(len(first_seen))
-    senders = renumber[senders]
-    receivers = renumber[receivers]
     return MessageLog(
         timestamps=times,
-        senders=senders,
-        receivers=receivers,
+        senders=renumber[senders],
+        receivers=renumber[receivers],
         names=tuple(first_seen[i] for i in by_name),
         rows_read=rows,
         row_errors=tuple(errors),
@@ -201,8 +213,7 @@ def _log_block(block, lineno: int, skip: bool, delimiter: str, ids, errors: list
         columns = times, *np.array(names, dtype=id_type).reshape(2, n)
     flagged = np.flatnonzero(~clean)[skip:]
     lines = zip((flagged + lineno + 1).tolist(), _texts(data, starts[flagged], ends[flagged]))
-    rows = _log_rows(lines, delimiter, ids, errors)
-    if rows:
+    if rows := _log_rows(lines, delimiter, ids, errors):
         at, *row_columns = np.array(rows, dtype=np.int64).T
         place = np.searchsorted(np.flatnonzero(clean), at - lineno - 1)  # clean rows before each
         columns = [np.insert(c, place, r) for c, r in zip(columns, row_columns)]
@@ -296,7 +307,7 @@ def extract_reply_delays(
     forward = senders < receivers
     # the conversation: the pair of ids a < b as the key a * width + b,
     # which fits int64 while there are fewer than 3e9 names
-    conversation = np.minimum(senders, receivers)
+    conversation = np.minimum(senders, receivers, dtype=np.int64)
     conversation *= len(log.names)
     conversation += np.maximum(senders, receivers, out=senders)
     del senders, receivers
@@ -432,22 +443,22 @@ def _exclusive_responses(times, forward, new_run, new_conversation):
         earlier = count(run_start[mine])
         earlier -= their_first
         earlier -= index
-        shift = np.multiply(segment[mine], 2 * n + 1, dtype=np.int64)  # puts each conversation's e_l - l
-        lowest = earlier - shift  # below the one before
+        # min(0, e_l - l), in [-n, 0], put below the previous conversation's by -segment * (n + 1)
+        lowest = np.multiply(segment[mine], -(n + 1), dtype=np.int64)
+        lowest += np.minimum(earlier, 0, out=earlier)
         del earlier
         np.minimum.accumulate(lowest, out=lowest)
-        lowest += shift
-        del shift
+        np.remainder(lowest, -(n + 1), out=lowest)  # min(0, min_(l<=i) e_l - l), unshifted
         opens = index == 1  # the first message of its direction in the conversation
         pops = index  # i + min(0, lowest), in place of i
-        del index
-        pops += np.minimum(lowest, 0, out=lowest)
-        del lowest
+        pops += lowest
+        del index, lowest
         pop = np.empty(mine.size, dtype=bool)  # P_i > P_(i-1), with P_0 = 0
         np.greater(pops[1:], pops[:-1], out=pop[1:])
         pop[opens] = pops[opens] > 0
-        reply, answered = mine[pop], np.flatnonzero(~own)[their_first[pop] + pops[pop] - 1]
+        reply, answered = mine[pop], their_first[pop] + pops[pop] - 1  # answered: the P_i-th of theirs
         del mine, their_first, pops, pop, opens
+        np.take(np.flatnonzero(~own), answered, out=answered)  # as positions, in index_type
         matched[reply] = True
         gaps[reply] = times[reply].view(np.uint64) - times[answered].view(np.uint64)
     return matched, gaps
@@ -489,8 +500,7 @@ def _read_blocks(source):
                 pieces.append(chunk[:end])
                 yield _lines("".join(pieces))
                 pieces = [chunk[end:]]
-            tail = "".join(pieces)  # a last line without a line break
-            if tail:
+            if tail := "".join(pieces):  # a last line without a line break
                 yield _lines(tail)
     except OSError as exc:
         raise InputFormatError(f"cannot read {source}: {exc}") from exc
@@ -529,9 +539,9 @@ def load_counts(source) -> CountLoadResult:
     row by row.  Each block's counts go to ``CountSample._from_blocks`` as
     they are parsed, so the file's values are never held whole.
     """
-    errors: list[tuple[int, str]] = []
+    errors = _RowErrors()
     sample = CountSample._from_blocks(_count_columns(source, errors))
-    rows = sample.size + len(errors)  # every row is a count or an error
+    rows = sample.size + errors.count  # every row is a count or an error
     if rows == 0:
         raise InputFormatError("count file contains no rows")
     if not sample.size:

@@ -34,7 +34,8 @@ def load_counts(source) -> tuple[np.ndarray, int, tuple[tuple[int, str], ...]]:
 
     Returns the usable counts in line order, the rows read and the row
     errors.  Zero, negative or non-integer counts are row errors (the
-    support starts at k = 1); they are tallied with line numbers and skipped.
+    support starts at k = 1); they are counted and skipped, and the first
+    1,000 tallied with line numbers.
     """
     values: list[int] = []
     errors: list[tuple[int, str]] = []
@@ -61,4 +62,4 @@ def load_counts(source) -> tuple[np.ndarray, int, tuple[tuple[int, str], ...]]:
         raise InputFormatError("count file contains no rows")
     if not values:
         raise DegenerateDataError(f"no usable counts out of {rows} rows")
-    return np.asarray(values, dtype=np.int64), rows, tuple(errors)
+    return np.asarray(values, dtype=np.int64), rows, tuple(errors[:1000])

@@ -39,8 +39,10 @@ def parse_message_log(
     """Parse timestamp/sender/receiver rows from a path or line iterable.
 
     Blank lines are skipped; every other row is either parsed or tallied
-    as a row error.  The delimiter may not contain a line break, so only
-    the receiver field can carry the line's end, which stripping removes.
+    as a row error, of which the first 1,000 are kept.  The delimiter may
+    not contain a line break, so only the receiver field can carry the
+    line's end, which stripping removes.  The ids are int32 below 2**31
+    names.
     """
     if not delimiter or "\n" in delimiter or "\r" in delimiter:
         raise DomainError(f"delimiter must be non-empty without line breaks, got {delimiter!r}")
@@ -86,7 +88,7 @@ def parse_message_log(
     # renumber the ids in name order
     first_seen = list(ids)
     by_name = sorted(range(len(first_seen)), key=first_seen.__getitem__)
-    renumber = np.empty(len(first_seen), dtype=np.int64)
+    renumber = np.empty(len(first_seen), dtype=np.int32 if len(first_seen) < 2**31 else np.int64)
     renumber[by_name] = np.arange(len(first_seen))
     return MessageLog(
         timestamps=np.array(times, dtype=np.int64),
@@ -94,5 +96,5 @@ def parse_message_log(
         receivers=renumber[receivers],
         names=tuple(first_seen[i] for i in by_name),
         rows_read=rows,
-        row_errors=tuple(errors),
+        row_errors=tuple(errors[:1000]),
     )

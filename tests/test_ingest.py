@@ -28,7 +28,7 @@ from lomaxmix import (
 )
 from lomaxmix import ingest
 from lomaxmix.fitting import _TALLY
-from lomaxmix.ingest import _READ_BLOCK, _WRITE_BLOCK, write_delays
+from lomaxmix.ingest import _READ_BLOCK, _WRITE_BLOCK, MessageLog, write_delays
 
 # two answered conversations plus one message that never gets a reply
 SIX_MESSAGE_LOG = [
@@ -177,6 +177,34 @@ class TestMatchingOracle:
             rows.append((int(rng.integers(0, 60)), *pair))
         _assert_agrees_with_oracle(rows, rule)
 
+    @pytest.mark.parametrize("rule", ["first-response", "exclusive"])
+    def test_conversation_keys_past_int32(self, rule):
+        # With 70,000 names the pair (a, b), a < b, has the key a * 70,000 + b.
+        # The keys of (a, a + 20,000) and (a + 61,356, a + 67,296) differ by
+        # 2**32 exactly, so built in int32 they would wrap onto one
+        # conversation.  Every name sends itself a message.
+        rng = np.random.default_rng(11)
+        names = [f"u{i:05d}" for i in range(70_000)]
+        rows = [(0, name, name) for name in names]
+        for a in range(2_704):
+            for pair in ((a, a + 20_000), (a + 61_356, a + 67_296)):
+                for _ in range(3):
+                    s, r = pair if rng.integers(2) else pair[::-1]
+                    rows.append((int(rng.integers(0, 1_000)), names[s], names[r]))
+        log = parse_message_log(stream([f"{t},{s},{r}" for t, s, r in rows]))
+        assert log.senders.dtype == log.receivers.dtype == np.int32 and len(log.names) == 70_000
+        sample = extract_reply_delays(log, rule=rule)
+        delays, self_dropped, unanswered = reply_oracle.reply_delays(rows, rule)
+        assert sample.delays.tolist() == delays
+        assert (sample.self_messages_dropped, sample.messages_unanswered) == (self_dropped, unanswered)
+        # a log built by hand with int64 ids gives the same
+        wide = MessageLog(
+            log.timestamps, log.senders.astype(np.int64), log.receivers.astype(np.int64), log.names, log.rows_read
+        )
+        widened = extract_reply_delays(wide, rule=rule)
+        assert widened.delays.tolist() == delays
+        assert (widened.self_messages_dropped, widened.messages_unanswered) == (self_dropped, unanswered)
+
     def test_exclusive_pops_nothing_within_one_timestamp(self):
         # a reply must be strictly later than the message it answers
         tied = [(5, "a", "b"), (5, "b", "a"), (5, "b", "a"), (5, "a", "b")]
@@ -251,16 +279,17 @@ def generated_log():
 
 class TestMemory:
     """Peak memory per message of parsing and extraction (tracemalloc, outputs
-    included), on a 1e5-row generated log.  Measured: parsing 34 bytes per
-    row, of which the log's columns take 24; extraction 43 bytes per usable
-    message under first-response and 61 under exclusive.  Also the peak of
-    loading counts, which follows the block and the distinct values, not
-    the file's length."""
+    included), on a 1e5-row generated log.  Measured: parsing 34.5 bytes per
+    row, of which the log's columns take 16 (int64 timestamps, int32 ids);
+    extraction 43 bytes per usable message under first-response and 55 under
+    exclusive.  Also the peak of loading counts, which follows the block and
+    the distinct values, not the file's length."""
 
     def test_parse_message_log_per_row(self, generated_log):
         log, peak = peak_above(parse_message_log, io.StringIO(generated_log))
         assert log.rows_read == 100_000
-        assert peak / log.rows_read < 45
+        assert peak / log.rows_read < 40
+        assert sum(c.nbytes for c in (log.timestamps, log.senders, log.receivers)) == 16 * log.rows_read
 
     def test_load_counts_per_value(self, tmp_path):
         # 2.3 bytes per value (2.2 MiB) at K = 14,450: a block's parse and the tally
@@ -280,13 +309,49 @@ class TestMemory:
         assert loaded.sample.counts.tolist() == [200_000] * 10
         assert peak < 4 * 2**20
 
-    @pytest.mark.parametrize(("rule", "bound"), [("first-response", 55), ("exclusive", 75)])
-    def test_extract_reply_delays_per_usable_message(self, generated_log, rule, bound):
+    @staticmethod
+    def _extraction_peak_per_usable_message(generated_log, rule):
         log = parse_message_log(io.StringIO(generated_log))
         usable = log.rows_read - 500
         sample, peak = peak_above(extract_reply_delays, log, rule)
         assert sample.self_messages_dropped == 500 and sample.delays.size > usable // 2
-        assert peak / usable < bound
+        return peak / usable
+
+    @pytest.mark.parametrize(("rule", "bound"), [("first-response", 55), ("exclusive", 75)])
+    def test_extract_reply_delays_per_usable_message(self, generated_log, rule, bound):
+        # the ceilings held when ids were int64 and the exclusive shift was
+        # applied per conversation
+        assert self._extraction_peak_per_usable_message(generated_log, rule) < bound
+
+    @pytest.mark.parametrize(("rule", "bound"), [("first-response", 50), ("exclusive", 60)])
+    def test_extract_reply_delays_on_int32_ids_per_usable_message(self, generated_log, rule, bound):
+        # int32 ids and one shifted int64 array per direction
+        assert self._extraction_peak_per_usable_message(generated_log, rule) < bound
+
+
+class TestRowErrorTally:
+    """The first 1,000 row errors are kept with their line numbers and the
+    rest only counted, so a file of bad rows (a log read with the wrong
+    delimiter) costs one block's parse, 2.0 MB measured, not the 170 bytes a
+    row that keeping every error takes (5.4 MB at 30,000 rows)."""
+
+    @pytest.mark.parametrize("bad", [10_000, 30_000])
+    def test_message_log(self, bad, tmp_path):
+        path = tmp_path / "log"
+        path.write_text("".join(f"{i};a;b\n" for i in range(bad)) + "0,a,b\n")
+        log, peak = peak_above(parse_message_log, path)
+        assert log.row_errors == tuple((i, "expected 3 fields, got 1") for i in range(1, 1_001))
+        assert (log.rows_read, log.dropped, log.timestamps.size) == (bad + 1, bad, 1)
+        assert peak < 3 * 2**20
+
+    @pytest.mark.parametrize("bad", [10_000, 30_000])
+    def test_count_file(self, bad, tmp_path):
+        path = tmp_path / "counts"
+        path.write_text("".join(f"x{i}\n" for i in range(bad)) + "7\n")
+        result, peak = peak_above(load_counts, path)
+        assert result.row_errors == tuple((i, f"non-integer count 'x{i - 1}'") for i in range(1, 1_001))
+        assert (result.rows_read, result.dropped, result.sample.size) == (bad + 1, bad, 1)
+        assert peak < 3 * 2**20
 
 
 def _reference_lines(values, fmt) -> bytes:
