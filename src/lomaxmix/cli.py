@@ -80,6 +80,10 @@ def _err(msg: str) -> None:
     print(f"error: {msg}", file=sys.stderr)
 
 
+def _warn(msg: str) -> None:
+    print(f"warning: {msg}", file=sys.stderr)
+
+
 def _claim_outputs(*paths) -> None:
     """Open every output before any is written, so a path that cannot be opened,
     or names an earlier output's file, leaves no output behind: the files this
@@ -102,7 +106,7 @@ def _claim_outputs(*paths) -> None:
 def _load_sample(path):
     result = load_counts(path)
     if result.dropped:
-        _err(f"{result.dropped} of {result.rows_read} count rows skipped")
+        _warn(f"{result.dropped} of {result.rows_read} count rows skipped; first at line %d: %s" % result.row_errors[0])
     return result.sample
 
 
@@ -129,6 +133,8 @@ def cmd_replies(args) -> int:
     print(f"reply rule       {sample.rule}")
     print(f"delays -> {out_delays}")
     print(f"counts -> {out_counts}")
+    if log.dropped:
+        _warn(f"{log.dropped} of {log.rows_read} log rows skipped; first at line %d: %s" % log.row_errors[0])
     return EXIT_OK
 
 
@@ -174,7 +180,7 @@ def _report_fits(args, sample, scan: ScanResult, config: FitConfig, m_max: int) 
             baselines[name] = fitter(sample)
         except DegenerateDataError as exc:
             baselines[name] = str(exc)
-            _err(f"baseline {name} failed: {exc}")
+            _warn(f"baseline {name} failed: {exc}")
 
     config_echo = {**vars(config), "m_max": m_max, "alpha": args.alpha}
     out = args.out or f"{args.counts}.report.json"
@@ -218,13 +224,12 @@ def cmd_gof(args) -> int:
 
 
 def _check_digest(report: dict, sample, strict: bool) -> int | None:
-    digest = sample_digest(sample)
-    if report.get("input_digest") != digest:
+    if report.get("input_digest") != sample_digest(sample):
         msg = "report digest does not match the count file"
         if strict:
             _err(msg)
             return EXIT_EMPTY
-        print(f"warning: {msg}", file=sys.stderr)
+        _warn(msg)
     return None
 
 

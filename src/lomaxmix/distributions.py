@@ -118,10 +118,10 @@ def _left_fold(values) -> float:
 
 
 def _snap_weights_to_one(weights: list[float]) -> list[float]:
-    """Nudge weights (by at most a few ulp) so their left-fold sum is 1.0.
+    """Nudge weights so their left-fold sum is 1.0, by up to the 1e-12 the constructor allows.
 
-    The survival function at k = 1 is exactly the weight sum; making that
-    sum bit-exact keeps ccdf(1) == 1.0 without any special casing.
+    The last weight becomes 1 minus the others, or, where they fold past 1, the first gives up
+    the excess.  ccdf(1) is exactly the weight sum, so a bit-exact sum keeps it 1.0.
     """
     for _ in range(4):
         if _left_fold(weights) == 1.0:

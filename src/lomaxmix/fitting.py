@@ -70,8 +70,9 @@ _MAX_EVALS = 50_000  # evaluations of the objective and its gradient per start
 # a block at a time (the constructor's blocks are _SLAB values), and sorts only the rest
 _TALLY = 2**16
 _SLAB = 2**14
-# a large sample's starts are screened on its values up to _GROUP_FROM, then intervals 0.5% wide
-_GROUP_FROM, _GROUP_RATIO = 256, 1.005
+# a large sample's starts are screened on its values up to _GROUP_FROM, then intervals 0.5% wide, up to order
+# _SCREEN_TO: at M = 3 and 4 the screen passed in none of eight 20-start fits of 3e5-1e6 counts, and cost time
+_GROUP_FROM, _GROUP_RATIO, _SCREEN_TO = 256, 1.005, 2
 # the most int64 or float64 values numpy holds in one array: its byte size must fit intp
 _MAX_SIZE = np.iinfo(np.intp).max // np.dtype(np.int64).itemsize
 
@@ -158,9 +159,9 @@ class CountSample:
 class FitConfig:
     """Knobs of the multi-start quasi-Newton search.
 
-    ``starts`` starts are drawn from ``seed`` and searched together (or the
-    first alone; see ``fit_mixture``).  Every fit stops on the rules of
-    ``_minimize``, with tol = ``_TOL`` and max_evals = ``_MAX_EVALS``.
+    ``starts`` starts are drawn from ``seed`` and searched together (or, at M = 1
+    and 2, perhaps the first alone; see ``fit_mixture``).  Every fit stops on the
+    rules of ``_minimize``, with tol = ``_TOL`` and max_evals = ``_MAX_EVALS``.
     """
 
     starts: int = 20
@@ -540,8 +541,8 @@ def _check_start_array(starts: int, order: int) -> int:
 def fit_mixture(data: CountSample, order: int, config: FitConfig = FitConfig()) -> FitResult:
     """Maximum-likelihood fit of an ``order``-component mixture.
 
-    Returns the best local optimum over ``config.starts`` starts, or, when every
-    start converges to one value on the sample's grouped form, the first start's
+    Returns the best local optimum over ``config.starts`` starts, or, at M = 1 and 2 when
+    every start converges to one value on the sample's grouped form, the first start's
     optimum, which can miss a better one few starts reach (see the screen).
     The fitted log-likelihood is never below that at the first start's initial
     point.  Deterministic for a given (data, order, config).
@@ -564,17 +565,11 @@ def fit_mixture(data: CountSample, order: int, config: FitConfig = FitConfig()) 
     starts = theta0 + np.vstack(
         [np.zeros(theta0.size), rng.normal(0.0, _LOG_JITTER, (config.starts - 1, theta0.size))]
     )
-    # Screen on a grouped form at most 1/4 the size, two starts first (from M = 3 up they tend
-    # to disagree): when every start converges there to one value, search the first alone.
-    if config.starts > 1 and 4 * (grouped := _grouped(ks, counts))[0].size <= ks.size:
+    # Screen on a grouped form at most 1/4 the size: if every start converges there to one value, search the first alone
+    if config.starts > 1 and order <= _SCREEN_TO and 4 * (grouped := _grouped(ks, counts))[0].size <= ks.size:
         fun = partial(_objective, ks=grouped[0], widths=grouped[1], counts=grouped[2])
-        values = np.empty(0)  # of the starts searched so far; inf where one did not converge
-        for batch in (starts[:2], starts[2:]) if config.starts > 2 else (starts,):
-            _, f, done, _ = _minimize(fun, batch, *_box(order), _TOL, _MAX_EVALS)
-            values = np.concatenate([values, np.where(done, f, np.inf)])
-            if not np.isfinite(values).all() or np.ptp(values) > _TOL * max(1.0, abs(values.min())):
-                break
-        else:
+        _, f, done, _ = _minimize(fun, starts, *_box(order), _TOL, _MAX_EVALS)
+        if done.all() and np.ptp(f) <= _TOL * max(1.0, abs(f.min())):  # False where f holds inf or nan
             starts = starts[:1]
     fun = partial(_objective, ks=ks, counts=counts)
     x, f, converged, _ = _minimize(fun, starts, *_box(order), _TOL, _MAX_EVALS)

@@ -138,7 +138,9 @@ class TestReplies:
             ]
         )
         assert code == 0
-        assert "rows dropped     1" in capsys.readouterr().out
+        out, err = capsys.readouterr()
+        assert "rows dropped     1" in out
+        assert err == "warning: 1 of 102 log rows skipped; first at line 2: expected 3 fields, got 1\n"
 
 
 class TestScan:
@@ -279,6 +281,15 @@ class TestFitAndGof:
         assert np.array_equal(drawn[0][0], drawn[1][0])
         assert not (drawn[0][1:] == drawn[1][1:]).all(axis=1).any()
 
+    @pytest.mark.parametrize("command", ["fit", "scan"])
+    def test_skipped_count_rows_warn_with_the_first_line(self, tmp_path, capsys, command):
+        counts = tmp_path / "c.counts"
+        counts.write_text("1\n2\nx\n0\n3\n1\n2\n5\n8\n1\n")
+        flags = ["--m", "1"] if command == "fit" else ["--m-max", "1"]
+        assert main([command, str(counts), *flags, "--starts", "2", "--out", str(tmp_path / "r.json")]) == 0
+        err = capsys.readouterr().err
+        assert err.startswith("warning: 2 of 10 count rows skipped; first at line 3: non-integer count 'x'\n")
+
     def test_gof_subcommand(self, tmp_path, capsys):
         data = sample_mixture(unit_model(), 10**4, seed=4)
         counts = tmp_path / "h.counts"
@@ -306,7 +317,7 @@ class TestFailureValues:
         out = tmp_path / "r.json"
         assert main(["scan", str(counts), "--m-max", "2", "--starts", "4", "--out", str(out)]) == 0
         msg = "log-counts have zero variance; lognormal fit is degenerate"
-        assert f"error: baseline lognormal failed: {msg}" in capsys.readouterr().err
+        assert f"warning: baseline lognormal failed: {msg}" in capsys.readouterr().err
         report = load_report(out)
         assert report["baselines"]["lognormal"] == {"error": msg}
         assert report["baselines"]["power_law"]["kind"] == "power_law"

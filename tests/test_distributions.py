@@ -347,6 +347,32 @@ class TestValidation:
         with pytest.raises(ValidationError):
             MixtureModel(())
 
+    @pytest.mark.parametrize(
+        "make, error, match",
+        [
+            (lambda: LomaxComponent(weight=math.nan, scale=1.0, shape=1.0), ValidationError, "weight must be finite"),
+            (lambda: RankModel(shape=0.0, scale=1.0, population=10), DomainError, "shape must be > 0"),
+            (lambda: MixtureModel((1,)), ValidationError, "LomaxComponent instances"),
+            (lambda: MixtureModel.from_parameters([0.5, 0.5], [1.0], [1.0, 1.0]), ValidationError, "equal length"),
+            (lambda: mixture_pmf(single(1.0, 1.0), np.array(["1"])), DomainError, "got dtype <U1"),
+            (lambda: mixture_pmf(single(1.0, 1.0), math.inf), DomainError, "k must be finite"),
+        ],
+        ids=["nan-weight", "zero-rank-shape", "non-component", "unequal-lengths", "string-k", "infinite-k"],
+    )
+    def test_refusals(self, make, error, match):
+        with pytest.raises(error, match=match):
+            make()
+
+    def test_weights_folding_past_one_give_the_excess_from_the_first(self):
+        # the weights before the last fold to more than 1, so the first gives up the excess:
+        # the weight given as 0.5 + 1e-13 ends 1.1e-13 (990 ulp) lower, and second
+        m = MixtureModel.from_parameters([0.5, 0.5 + 1e-13, 1e-14], [1.0, 2.0, 3.0], [1.0, 1.0, 1.0])
+        assert [(c.weight, c.scale) for c in m.components] == [
+            (0.5, 1.0), (0.4999999999999901, 2.0), (9.880984919163893e-15, 3.0)
+        ]
+        assert sum(c.weight for c in m.components) == 1.0
+        assert mixture_ccdf(m, 1) == 1.0
+
     def test_gamma_mixing_mean(self):
         # the C2 oracle's mixing density is normalized with mean shape / rate
         total, _ = quad(gamma_pdf, 0.0, np.inf, args=(2.5, 5.0), limit=200)

@@ -30,6 +30,7 @@ from lomaxmix import (
     scan_orders,
 )
 from lomaxmix import fitting
+from lomaxmix.distributions import SCALE_BOUNDS, SHAPE_BOUNDS
 from lomaxmix.fitting import _SLAB, _TALLY
 from lomaxmix.special import riemann_zeta
 
@@ -44,6 +45,11 @@ def single(b, v):
 
 TRUTH_2 = MixtureModel.from_parameters([0.7, 0.3], [2.0, 20.0], [1.2, 3.0])
 WIDE = MixtureModel.from_parameters([0.7, 0.3], [5.0, 500.0], [0.9, 1.3])
+SEPARATED = MixtureModel.from_parameters([0.5, 0.5], [1.0, 50.0], [0.3, 2.0])
+# seeds 1 and 4 end 1,559 and 1,424 nats below the truth, reported converged
+_MISSES_THE_BETTER_BASIN = pytest.mark.xfail(
+    strict=True, reason="no start reaches the better basin; nested starts from order M - 1 are ROADMAP item 2"
+)
 
 # Two objectives at the noise floor, with the arguments of _minimize after fun.
 # The noisy bowl is 5e6 plus a steep bowl, and 3 in 4 points evaluate one
@@ -195,6 +201,11 @@ class TestAic:
         with pytest.raises(DomainError, match="n_params must be an integer"):
             aic(-10.0, n_params)
 
+    @pytest.mark.parametrize("log_likelihood", [math.nan, -math.inf], ids=["nan", "-inf"])
+    def test_non_finite_log_likelihood_refused(self, log_likelihood):
+        with pytest.raises(DomainError, match="log_likelihood must be finite"):
+            aic(log_likelihood, 2)
+
     def test_bit_exact_on_fit(self):
         data = CountSample(sample_mixture(single(2.0, 1.5), 2000, seed=1))
         fit = fit_mixture(data, 1, FitConfig(starts=4, seed=0))
@@ -215,6 +226,16 @@ class TestFitMixture:
         data = CountSample(sample_mixture(TRUTH_2, 3 * 10**4, seed=7))
         fit = fit_mixture(data, 2, FitConfig(seed=7))
         assert fit.log_likelihood >= log_likelihood(TRUTH_2, data) - 1e-6
+
+    @pytest.mark.parametrize(
+        "seed",
+        [0, pytest.param(1, marks=_MISSES_THE_BETTER_BASIN), 2, 3, pytest.param(4, marks=_MISSES_THE_BETTER_BASIN)],
+    )
+    def test_dominates_a_separated_truth(self, seed):
+        # 0.5:1:0.3,0.5:50:2 at n = 1e5, seeds fixed in advance; about 6,500 distinct values, not screened
+        data = CountSample(sample_mixture(SEPARATED, 10**5, seed=seed))
+        fit = fit_mixture(data, 2, FitConfig(20, 0))
+        assert fit.log_likelihood >= log_likelihood(SEPARATED, data) - 1e-6
 
     def test_dominates_every_start_seed(self):
         # the returned optimum must beat the method-of-moments seed
@@ -536,7 +557,7 @@ class TestSearchOracle:
 
 
 class TestScreen:
-    """A large sample's starts are screened on its grouped form."""
+    """At M = 1 and 2, a large sample's starts are screened on its grouped form."""
 
     @pytest.fixture(scope="class")
     def wide(self):
@@ -572,8 +593,8 @@ class TestScreen:
 
     def test_agreeing_starts_search_the_full_sample_once(self, wide, searches):
         fit = fit_mixture(wide, 2, FitConfig())
-        assert self.shapes(searches) == [(2, True), (18, True), (1, False)]
-        starts, (_, _, row) = np.vstack([searches[0][0], searches[1][0]]), searches[2]
+        assert self.shapes(searches) == [(20, True), (1, False)]
+        starts, (_, _, row) = searches[0][0], searches[1]
         ks, counts = wide.ks.astype(float), wide.counts.astype(float)
         full = partial(fitting._objective, ks=ks, counts=counts)
         every = fitting._minimize(full, starts, *fitting._box(2), fitting._TOL, fitting._MAX_EVALS)
@@ -584,21 +605,24 @@ class TestScreen:
         assert abs(fit.log_likelihood - best_ll) <= 8 * np.spacing(abs(best_ll))
         assert fit.converged and fit.sample_size == wide.size
 
-    def test_disagreeing_starts_search_the_full_sample_from_all(self, wide, searches):
-        fit_mixture(wide, 3, FitConfig())
-        # the first two starts already end apart on the grouped form, so the other 18 are not searched there
-        assert self.shapes(searches) == [(2, True), (20, False)]
-        _, f, converged, _ = searches[0][2]
-        assert converged.all() and np.ptp(f) > fitting._TOL * f.min()
-        assert np.array_equal(searches[1][0][:2], searches[0][0])
+    def test_three_components_are_not_screened(self, wide, searches):
+        # from M = 3 up the starts tend to end apart on the grouped form, so it is not searched
+        fit = fit_mixture(wide, 3, FitConfig())
+        assert self.shapes(searches) == [(20, False)]
+        x, f, converged, _ = searches[0][2]
+        best = int(np.argmin(f))  # the first minimum
+        c, b, v = fitting._unpack(x[best : best + 1], 3)
+        bounded = np.clip(b[0], *SCALE_BOUNDS), np.clip(v[0], *SHAPE_BOUNDS)
+        assert fit.model == MixtureModel.from_parameters(c[0] / c[0].sum(), *bounded)
+        assert fit.converged == converged[best]
 
     def test_a_two_basin_sample_keeps_the_better_optimum(self, searches):
         # 8,868 distinct values, 1,778 grouped: screened.  Some starts end in an
         # optimum 18,000 nats below the best, so the first start alone would lose it.
         model = MixtureModel.from_parameters([0.4, 0.6], [2.0, 200.0], [0.5, 1.1])
         fit = fit_mixture(CountSample(sample_mixture(model, 2 * 10**5, seed=1)), 2, FitConfig())
-        assert self.shapes(searches) == [(2, True), (18, True), (20, False)]
-        f = searches[2][2][1]
+        assert self.shapes(searches) == [(20, True), (20, False)]
+        f = searches[1][2][1]
         assert f[0] - f.min() > 1e4
         np.testing.assert_allclose(fit.log_likelihood, -f.min(), rtol=1e-12)
 
@@ -635,6 +659,14 @@ class TestScanOrders:
         data = CountSample(sample_mixture(single(100.0, 100.0), 2 * 10**4, seed=8))
         scan = scan_orders(data, 3, FitConfig(seed=8))
         assert scan.best.order == 1
+
+    def test_more_components_than_distinct_values(self):
+        # from M = 3 up, the moment start spreads its components around the mean;
+        # every order then fits the two values as well as one component does
+        scan = scan_orders(CountSample([1] * 10 + [2] * 10), 4, FitConfig())
+        assert [f.order for f in scan.fits] == [1, 2, 3, 4] and not scan.failures
+        for fit in scan.fits:
+            assert abs(fit.log_likelihood - scan.fits[0].log_likelihood) <= 1e-9
 
     @pytest.mark.parametrize("max_order", [2.5, True], ids=["2.5", "True"])
     def test_non_integral_max_order_refused(self, max_order):

@@ -72,6 +72,8 @@ class TestChiSquareStatistic:
             chi_square_survival(1.0, 0)
         with pytest.raises(DomainError):
             chi_square_statistic([1.0], [0.0])
+        with pytest.raises(ValidationError, match="must align"):
+            chi_square_statistic([1, 2], [1])
 
 
 class TestChiSquareTest:

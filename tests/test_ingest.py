@@ -414,6 +414,10 @@ class TestDiscretize:
         with pytest.raises(DomainError):
             ReplyDelaySample(delays=np.array([1.0]), discretization=0.0)
 
+    def test_negative_delay_refused(self):
+        with pytest.raises(DomainError, match="delays must be finite and >= 0"):
+            ReplyDelaySample(delays=[-1.0])
+
     @pytest.mark.parametrize("dt", [float("inf"), float("nan")])
     def test_finite_step_required(self, dt):
         with pytest.raises(DomainError, match="dt"):
@@ -513,6 +517,12 @@ class TestCountFiles:
         loaded = load_counts(path).sample
         want_ks, want_counts = np.unique(values, return_counts=True)
         assert np.array_equal(loaded.ks, want_ks) and np.array_equal(loaded.counts, want_counts)
+
+    @pytest.mark.parametrize("load", [load_counts, parse_message_log], ids=["counts", "log"])
+    @pytest.mark.parametrize("name", ["missing", "."], ids=["missing", "directory"])
+    def test_unreadable_path(self, load, name, tmp_path):
+        with pytest.raises(InputFormatError, match="cannot read"):
+            load(tmp_path / name)
 
     def test_empty_and_all_bad(self, tmp_path):
         empty = tmp_path / "e.counts"
@@ -741,6 +751,16 @@ class TestLogOracle:
         ours = _log_outcome(parse_message_log, io.StringIO(text), ",", False)
         assert ours == _log_outcome(log_oracle.parse_message_log, io.StringIO(text), ",", False)
         assert any("\ud800" in name or "\udfff" in name for name in ours[1])
+
+    def test_columns_joined_32_blocks_at_a_time(self, monkeypatch):
+        # at 512 characters a block, these 3,000 rows are 67 blocks: two joins of 32 and a tail of 3
+        monkeypatch.setattr(ingest, "_READ_BLOCK", 512)
+        odd = ["5,a", " 7,b,c", "x,a,b", "8,a,a", f"{2**63},a,b", "9,\u00e9a,b ", "", "6,a,b,c"]
+        rows = [odd[i // 7 % len(odd)] if i % 7 == 3 else f"{1000 + i},u{i % 37},u{i % 11}" for i in range(3000)]
+        assert len(list(ingest._read_blocks(stream(rows)))) == 67
+        ours = _log_outcome(parse_message_log, stream(rows), ",", False)
+        assert ours == _log_outcome(log_oracle.parse_message_log, stream(rows), ",", False)
+        assert ours[3] and ours[0][0][0] == np.int64
 
     def test_clean_non_ascii_rows_skip_the_row_parser(self, monkeypatch):
         # non-ASCII letters inside a name or at its edge leave a row clean;
